@@ -7,7 +7,6 @@
 #include "core/contracts.hh"
 #include "numeric/kernels/arena.hh"
 #include "numeric/kernels/fused.hh"
-#include "numeric/kernels/policy.hh"
 #include "numeric/rng.hh"
 
 namespace wcnn {
@@ -99,24 +98,7 @@ Mlp::forward(const numeric::Vector &x) const
 numeric::Matrix
 Mlp::forward(const numeric::Matrix &xs) const
 {
-    WCNN_REQUIRE(xs.cols() == nInputs, "forward input rows have ",
-                 xs.cols(), " dims, network expects ", nInputs);
-    if (numeric::kernels::policy() == numeric::kernels::KernelPolicy::Fast)
-        return fusedForward(xs, nullptr, nullptr, nullptr, nullptr);
-    numeric::Matrix out(xs.rows(), outputDim());
-    numeric::Vector act;
-    for (std::size_t r = 0; r < xs.rows(); ++r) {
-        act = xs.row(r);
-        for (std::size_t l = 0; l < specs.size(); ++l) {
-            numeric::Vector pre = weightsPerLayer[l] * act;
-            const Activation &fn = specs[l].activation;
-            for (std::size_t i = 0; i < pre.size(); ++i)
-                pre[i] = fn.value(pre[i] + biasesPerLayer[l][i]);
-            act = std::move(pre);
-        }
-        out.setRow(r, act);
-    }
-    return out;
+    return fusedForward(xs, nullptr, nullptr, nullptr, nullptr);
 }
 
 namespace {

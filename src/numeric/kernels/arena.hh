@@ -2,9 +2,9 @@
  * @file
  * 64-byte-aligned arena allocator for kernel scratch buffers.
  *
- * The fast kernel paths (batched forward, fused serving predict) need
- * short-lived activation and packed-weight buffers per call. Heap
- * allocation per call is exactly the overhead the fast path exists to
+ * The batched kernel paths (batched forward, fused serving predict)
+ * need short-lived activation and packed-weight buffers per call. Heap
+ * allocation per call is exactly the overhead those paths exist to
  * remove, so scratch comes from a bump arena instead: allocation is a
  * cursor increment, every returned pointer is 64-byte aligned (one
  * full cache line, and wide enough for any current or future vector

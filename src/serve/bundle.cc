@@ -7,7 +7,6 @@
 #include "core/failpoint.hh"
 #include "model/nn_model.hh"
 #include "nn/serialize.hh"
-#include "numeric/kernels/policy.hh"
 
 namespace wcnn {
 namespace serve {
@@ -177,15 +176,11 @@ ModelBundle::predictAll(const numeric::Matrix &xs) const
     WCNN_REQUIRE(isLoaded, "predictAll() on an empty bundle");
     WCNN_REQUIRE(xs.cols() == net.inputDim(), "bundle expects ",
                  net.inputDim(), " inputs, got ", xs.cols());
-    if (numeric::kernels::policy() == numeric::kernels::KernelPolicy::Fast) {
-        // Fused standardize -> forward -> destandardize over arena
-        // scratch: one intermediate matrix instead of three, zero heap
-        // traffic after warm-up, bit-identical to the composition
-        // below (kernel_equivalence_test pins this).
-        return net.fusedForward(xs, &xStd.means(), &xStd.stddevs(),
-                                &yStd.means(), &yStd.stddevs());
-    }
-    return yStd.inverse(net.forward(xStd.transform(xs)));
+    // Fused standardize -> forward -> destandardize over arena
+    // scratch: zero heap traffic after warm-up, bit-identical to
+    // predict() per row (kernel_equivalence_test pins this).
+    return net.fusedForward(xs, &xStd.means(), &xStd.stddevs(),
+                            &yStd.means(), &yStd.stddevs());
 }
 
 void

@@ -93,11 +93,10 @@ class ModelBundle : public model::PerformanceModel
     using model::PerformanceModel::predictAll;
 
     /**
-     * Batched prediction through Mlp's matrix forward; bit-identical
-     * to the per-row loop (same scalar operations in the same order).
-     * Under KernelPolicy::Fast this is the fused serving hot path —
-     * Mlp::fusedForward with this bundle's standardizer moments —
-     * still bit-identical by construction.
+     * Batched prediction: the fused serving hot path,
+     * Mlp::fusedForward with this bundle's standardizer moments.
+     * Bit-identical to predict() per row (same scalar operations in
+     * the same order).
      */
     numeric::Matrix predictAll(const numeric::Matrix &xs) const override;
 

@@ -18,9 +18,8 @@
  * so the equivalence suite (tests/serve_equivalence_test.cc) can
  * demand byte-identical response streams, not just "similar
  * behaviour". The threaded engine stays the always-correct reference
- * implementation; the epoll engine is admitted through that gate,
- * exactly like the fast kernels are admitted through
- * kernel_equivalence_test (DESIGN.md §5.6, §5.7).
+ * implementation; the epoll engine is admitted through that gate
+ * (DESIGN.md §5.7).
  */
 
 #ifndef WCNN_SERVE_ENGINE_HH

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "model/study.hh"
-#include "numeric/kernels/policy.hh"
 
 using wcnn::model::StudyOptions;
 using wcnn::model::StudyResult;
@@ -93,48 +92,12 @@ goldenStudyOptions()
     return opts;
 }
 
-/** The reference-policy golden study (run once). */
+/** The golden study (run once). */
 const StudyResult &
 goldenStudy()
 {
     static const StudyResult study = runStudy(goldenStudyOptions());
     return study;
-}
-
-/** Assert one study reproduces every pinned golden constant. */
-void
-expectGoldenValues(const StudyResult &study)
-{
-    const auto avg = study.cv.averageValidationError();
-    ASSERT_EQ(avg.size(), 5u);
-    for (std::size_t j = 0; j < avg.size(); ++j) {
-        EXPECT_NEAR(avg[j], kGoldenAvgValidationError[j],
-                    kMetricTolerance)
-            << "indicator " << study.cv.indicatorNames[j];
-    }
-    EXPECT_NEAR(study.cv.overallAccuracy(), kGoldenOverallAccuracy,
-                kMetricTolerance);
-
-    const auto &trial = study.cv.trials.front();
-    ASSERT_GE(trial.trainPredicted.rows(), kCurvePoints);
-    ASSERT_GE(trial.validationPredicted.rows(), kCurvePoints);
-    for (std::size_t i = 0; i < kCurvePoints; ++i) {
-        EXPECT_NEAR(trial.trainPredicted(i, 0),
-                    kGoldenFig5TrainPredicted[i],
-                    kCurveTolerance *
-                        std::fabs(kGoldenFig5TrainPredicted[i]))
-            << "Fig. 5 point " << i;
-        EXPECT_NEAR(trial.validationPredicted(i, 0),
-                    kGoldenFig6ValidationPredicted[i],
-                    kCurveTolerance *
-                        std::fabs(kGoldenFig6ValidationPredicted[i]))
-            << "Fig. 6 point " << i;
-        EXPECT_NEAR(trial.validationSet[i].y[0],
-                    kGoldenFig6ValidationActual[i],
-                    kCurveTolerance *
-                        std::fabs(kGoldenFig6ValidationActual[i]))
-            << "Fig. 6 actual " << i;
-    }
 }
 
 void
@@ -172,19 +135,36 @@ TEST(GoldenTable2Test, PinnedMetricsAndFitCurves)
         GTEST_SKIP() << "regeneration run; goldens printed above";
     }
 
-    expectGoldenValues(study);
-}
+    const auto avg = study.cv.averageValidationError();
+    ASSERT_EQ(avg.size(), 5u);
+    for (std::size_t j = 0; j < avg.size(); ++j) {
+        EXPECT_NEAR(avg[j], kGoldenAvgValidationError[j],
+                    kMetricTolerance)
+            << "indicator " << study.cv.indicatorNames[j];
+    }
+    EXPECT_NEAR(study.cv.overallAccuracy(), kGoldenOverallAccuracy,
+                kMetricTolerance);
 
-TEST(GoldenTable2Test, FastKernelPolicyReproducesTheGoldens)
-{
-    // The fast-kernel admission bar for the full pipeline: the same
-    // study, dispatched through the blocked/SIMD kernels, must land on
-    // the SAME pinned constants at the SAME tolerances. There is no
-    // separate fast golden set — one set of numbers, two policies.
-    wcnn::numeric::kernels::PolicyGuard guard(
-        wcnn::numeric::kernels::KernelPolicy::Fast);
-    const StudyResult study = runStudy(goldenStudyOptions());
-    expectGoldenValues(study);
+    const auto &trial = study.cv.trials.front();
+    ASSERT_GE(trial.trainPredicted.rows(), kCurvePoints);
+    ASSERT_GE(trial.validationPredicted.rows(), kCurvePoints);
+    for (std::size_t i = 0; i < kCurvePoints; ++i) {
+        EXPECT_NEAR(trial.trainPredicted(i, 0),
+                    kGoldenFig5TrainPredicted[i],
+                    kCurveTolerance *
+                        std::fabs(kGoldenFig5TrainPredicted[i]))
+            << "Fig. 5 point " << i;
+        EXPECT_NEAR(trial.validationPredicted(i, 0),
+                    kGoldenFig6ValidationPredicted[i],
+                    kCurveTolerance *
+                        std::fabs(kGoldenFig6ValidationPredicted[i]))
+            << "Fig. 6 point " << i;
+        EXPECT_NEAR(trial.validationSet[i].y[0],
+                    kGoldenFig6ValidationActual[i],
+                    kCurveTolerance *
+                        std::fabs(kGoldenFig6ValidationActual[i]))
+            << "Fig. 6 actual " << i;
+    }
 }
 
 TEST(GoldenTable2Test, GoldenStudyStaysInPaperRange)

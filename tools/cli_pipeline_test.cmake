@@ -16,6 +16,14 @@ endfunction()
 run(${WCNN} collect --out s.csv --samples 40 --analytic --seed 3)
 run(${WCNN} fit --data s.csv --out m.nn --units 10 --cv --tag smoke)
 run(${WCNN} predict --model m.nn --config 560,10,16,18)
+
+# A malformed --config field is an error that names the field.
+execute_process(COMMAND ${WCNN} predict --model m.nn --config 560,x,10,16
+                WORKING_DIRECTORY ${work}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(rc EQUAL 0 OR NOT err MATCHES "--config field 2 expects a number")
+    message(FATAL_ERROR "predict accepted --config 560,x,10,16 (${rc}): ${err}")
+endif()
 run(${WCNN} surface --model m.nn --indicator 1)
 run(${WCNN} recommend --model m.nn --data s.csv --top 3)
 

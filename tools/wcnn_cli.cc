@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -33,6 +34,7 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,7 +53,6 @@
 #include "model/recommender.hh"
 #include "model/surface.hh"
 #include "model/study.hh"
-#include "numeric/kernels/policy.hh"
 #include "numeric/rng.hh"
 #include "scenario/library.hh"
 #include "serve/bundle.hh"
@@ -62,6 +63,24 @@
 namespace {
 
 using namespace wcnn;
+
+/**
+ * Parse all of @p text as one number. Empty text and trailing junk
+ * ("12abc") are errors that name @p what, the flag or field the text
+ * came from.
+ */
+double
+parseNumber(const std::string &text, const std::string &what)
+{
+    const char *begin = text.c_str();
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(begin, &end);
+    if (text.empty() || end != begin + text.size() || errno == ERANGE)
+        throw std::invalid_argument(what + " expects a number, got '" +
+                                    text + "'");
+    return v;
+}
 
 /** Minimal --key value / --flag parser. */
 class Args
@@ -103,22 +122,23 @@ class Args
     {
         const auto it = values.find(key);
         return it == values.end() ? fallback
-                                  : std::stod(it->second);
+                                  : parseNumber(it->second, "--" + key);
     }
 
   private:
     std::map<std::string, std::string> values;
 };
 
-/** Parse "a,b,c,d" into a vector. */
+/** Parse "a,b,c,d" into a vector; @p what names the source. */
 numeric::Vector
-parseCsvNumbers(const std::string &text)
+parseCsvNumbers(const std::string &text, const std::string &what)
 {
     numeric::Vector out;
     std::istringstream is(text);
     std::string field;
     while (std::getline(is, field, ','))
-        out.push_back(std::stod(field));
+        out.push_back(parseNumber(
+            field, what + " field " + std::to_string(out.size() + 1)));
     return out;
 }
 
@@ -410,7 +430,8 @@ cmdPredict(const Args &args)
             ++line_no;
             if (line.empty())
                 continue;
-            const numeric::Vector x = parseCsvNumbers(line);
+            const numeric::Vector x = parseCsvNumbers(
+                line, "stdin line " + std::to_string(line_no));
             if (x.size() != mdl.inputDim()) {
                 std::fprintf(stderr,
                              "predict: line %zu has %zu fields, "
@@ -426,7 +447,7 @@ cmdPredict(const Args &args)
         return 0;
     }
 
-    const numeric::Vector x = parseCsvNumbers(config);
+    const numeric::Vector x = parseCsvNumbers(config, "--config");
     if (x.size() != mdl.inputDim()) {
         std::fprintf(stderr,
                      "predict: --config needs %zu numbers\n",
@@ -1010,11 +1031,7 @@ usage()
         "  serve       run the TCP inference server on a bundle\n"
         "  bench-serve measure serving throughput and latency\n"
         "  lifecycle   replay a journaled observation stream "
-        "offline\n"
-        "\n"
-        "global flags:\n"
-        "  --kernels reference|fast   numeric kernel policy (also\n"
-        "                             WCNN_KERNELS); default reference");
+        "offline");
     return 2;
 }
 
@@ -1030,9 +1047,6 @@ main(int argc, char **argv)
     // any subcommand (chaos drills; also via WCNN_FAILPOINTS).
     try {
         wcnn::core::failpoint::installFromArgs(argc, argv);
-        // `wcnn <cmd> ... --kernels fast` (or WCNN_KERNELS) selects
-        // the numeric kernel policy for any subcommand.
-        wcnn::numeric::kernels::installFromArgs(argc, argv);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "wcnn: %s\n", e.what());
         return 2;
