@@ -33,12 +33,29 @@ AppServer::sampleDemand(double mean)
     WCNN_UNREACHABLE("invalid ServiceDist");
 }
 
+AppServer::Flow *
+AppServer::acquireFlow()
+{
+    if (freeFlows.empty())
+        return &flowStore.emplace_back();
+    Flow *flow = freeFlows.back();
+    freeFlows.pop_back();
+    return flow;
+}
+
+void
+AppServer::releaseFlow(Flow *flow)
+{
+    *flow = Flow{};
+    freeFlows.push_back(flow);
+}
+
 void
 AppServer::handle(const Request &req)
 {
     const TxnProfile &profile = params.profile(req.cls);
 
-    auto flow = std::make_shared<Flow>();
+    Flow *flow = acquireFlow();
     flow->req = req;
     flow->profile = &profile;
     // Draw every demand up front so the per-transaction RNG consumption
@@ -52,12 +69,12 @@ AppServer::handle(const Request &req)
 
     ThreadPool &pool =
         req.cls == TxnClass::Manufacturing ? mfgPool : webPool;
-    const bool accepted =
-        pool.submit([this, flow](std::function<void()> done) {
-            flow->threadDone = std::move(done);
-            startFlow(flow);
-        });
+    const bool accepted = pool.submit([this, flow](Callback done) {
+        flow->threadDone = std::move(done);
+        startFlow(flow);
+    });
     if (!accepted) {
+        releaseFlow(flow);
         ++nPrimaryRejects;
         collector.recordDrop(req.cls, sim.now());
         if (onTerminal)
@@ -66,7 +83,7 @@ AppServer::handle(const Request &req)
 }
 
 void
-AppServer::startFlow(const FlowPtr &flow)
+AppServer::startFlow(Flow *flow)
 {
     // Allocation happens while the request is processed, whether or not
     // the transaction ultimately completes; GC pressure follows the
@@ -85,35 +102,33 @@ AppServer::startFlow(const FlowPtr &flow)
 }
 
 void
-AppServer::dispatchAux(const FlowPtr &flow)
+AppServer::dispatchAux(Flow *flow)
 {
-    const bool accepted = defaultPool.submit(
-        [this, flow](std::function<void()> aux_done) {
-            cpu.execute(flow->auxCpu, [this, flow,
-                                       aux_done = std::move(aux_done)] {
-                db.query(DbDomain::Dealer, flow->auxDb,
-                         [this, flow, aux_done = std::move(aux_done)] {
-                             aux_done();
-                             branchDone(flow);
-                         });
+    const bool accepted =
+        defaultPool.submit([this, flow](Callback aux_done) {
+            flow->auxDone = std::move(aux_done);
+            cpu.execute(flow->auxCpu, [this, flow] {
+                db.query(DbDomain::Dealer, flow->auxDb, [this, flow] {
+                    flow->auxDone();
+                    branchDone(flow);
+                });
             });
         });
     if (!accepted) {
         // Internal dispatch failed: the transaction will never be
-        // complete. The web branch still runs to release its thread.
+        // complete. The web branch still runs to release its thread
+        // and reaches the terminal event in branchDone().
         ++nAuxRejects;
         flow->failed = true;
-        WCNN_ENSURE(flow->pendingBranches > 0,
-                    "aux reject on a flow with no pending branches");
+        WCNN_ENSURE(flow->pendingBranches > 1,
+                    "aux reject on a flow without a pending web branch");
         --flow->pendingBranches;
         collector.recordDrop(flow->req.cls, sim.now());
-        if (flow->pendingBranches == 0 && onTerminal)
-            onTerminal(flow->req, TxnOutcome::Failed);
     }
 }
 
 void
-AppServer::finishPrimary(const FlowPtr &flow)
+AppServer::finishPrimary(Flow *flow)
 {
     cpu.execute(flow->cpuPost, [this, flow] {
         flow->threadDone();
@@ -122,7 +137,7 @@ AppServer::finishPrimary(const FlowPtr &flow)
 }
 
 void
-AppServer::branchDone(const FlowPtr &flow)
+AppServer::branchDone(Flow *flow)
 {
     WCNN_ENSURE(flow->pendingBranches > 0,
                 "branchDone on a flow with no pending branches");
@@ -136,6 +151,7 @@ AppServer::branchDone(const FlowPtr &flow)
         onTerminal(flow->req, flow->failed ? TxnOutcome::Failed
                                            : TxnOutcome::Completed);
     }
+    releaseFlow(flow);
 }
 
 void

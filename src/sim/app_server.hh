@@ -25,7 +25,8 @@
 #define WCNN_SIM_APP_SERVER_HH
 
 #include <cstddef>
-#include <memory>
+#include <deque>
+#include <vector>
 
 #include "numeric/rng.hh"
 #include "sim/collector.hh"
@@ -54,7 +55,7 @@ class AppServer
   public:
     /** Callback fired once per request at its terminal event. */
     using TerminalListener =
-        std::function<void(const Request &, TxnOutcome)>;
+        InlineFunction<void(const Request &, TxnOutcome)>;
 
     /**
      * @param sim          Owning simulator.
@@ -98,36 +99,47 @@ class AppServer
     std::size_t auxRejects() const { return nAuxRejects; }
 
   private:
-    /** Sampled demands and bookkeeping for one in-flight transaction. */
+    /**
+     * Sampled demands and bookkeeping for one in-flight transaction.
+     * Flows are pooled: taken from a free list in handle() and returned
+     * exactly once, at the transaction's terminal event.
+     */
     struct Flow
     {
         Request req;
-        const TxnProfile *profile;
+        const TxnProfile *profile = nullptr;
         /** Thunk releasing the primary worker thread. */
-        std::function<void()> threadDone;
-        double cpuPre, cpuPost, dbDemand, auxCpu, auxDb;
+        Callback threadDone;
+        /** Thunk releasing the default-queue worker thread. */
+        Callback auxDone;
+        double cpuPre = 0.0, cpuPost = 0.0, dbDemand = 0.0, auxCpu = 0.0,
+               auxDb = 0.0;
         /** Branches (web flow / work item) still outstanding. */
         std::size_t pendingBranches = 1;
         /** Work-item dispatch was rejected; never record completion. */
         bool failed = false;
     };
 
-    using FlowPtr = std::shared_ptr<Flow>;
+    /** Take a reset Flow from the pool. */
+    Flow *acquireFlow();
+
+    /** Return a Flow to the pool; its continuations are dropped. */
+    void releaseFlow(Flow *flow);
 
     /** Lognormal draw with the configured CoV around a mean. */
     double sampleDemand(double mean);
 
     /** Stage 1+2: pre CPU then main DB call. */
-    void startFlow(const FlowPtr &flow);
+    void startFlow(Flow *flow);
 
     /** Asynchronous default-queue work item for purchase/manage. */
-    void dispatchAux(const FlowPtr &flow);
+    void dispatchAux(Flow *flow);
 
     /** Final CPU burst of the web/mfg branch; releases the thread. */
-    void finishPrimary(const FlowPtr &flow);
+    void finishPrimary(Flow *flow);
 
     /** Join point: records completion once every branch finished. */
-    void branchDone(const FlowPtr &flow);
+    void branchDone(Flow *flow);
 
     /**
      * Allocation-driven garbage collection: every gcTxnInterval-th
@@ -149,6 +161,9 @@ class AppServer
     std::size_t nAuxRejects = 0;
     std::size_t txnsSinceGc = 0;
     TerminalListener onTerminal;
+    /** Every Flow ever created (stable addresses); some are free. */
+    std::deque<Flow> flowStore;
+    std::vector<Flow *> freeFlows;
 };
 
 } // namespace sim

@@ -106,8 +106,8 @@ void
 PsCpu::onCompletion()
 {
     advance();
-    // Collect every job that has (numerically) finished.
-    std::vector<std::function<void()>> finished;
+    // Collect every job that has (numerically) finished. Completion
+    // events never nest, so the member scratch vector is free here.
     for (std::size_t i = 0; i < jobs.size();) {
         if (jobs[i].remaining <= workEpsilon) {
             finished.push_back(std::move(jobs[i].done));
@@ -121,10 +121,11 @@ PsCpu::onCompletion()
     // Callbacks last: they may re-enter execute().
     for (auto &fn : finished)
         fn();
+    finished.clear();
 }
 
 void
-PsCpu::execute(double demand, std::function<void()> done)
+PsCpu::execute(double demand, Callback done)
 {
     WCNN_REQUIRE(demand > 0.0, "CPU demand must be positive, got ", demand);
     advance();

@@ -24,7 +24,6 @@
 #define WCNN_SIM_CPU_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/simulator.hh"
@@ -65,7 +64,7 @@ class PsCpu
      * @param demand Work in CPU-seconds (> 0).
      * @param done   Completion callback.
      */
-    void execute(double demand, std::function<void()> done);
+    void execute(double demand, Callback done);
 
     /**
      * Stop-the-world pause: no job makes progress until now + duration
@@ -99,7 +98,7 @@ class PsCpu
     struct Job
     {
         double remaining;
-        std::function<void()> done;
+        Callback done;
     };
 
     /** Per-job progress rate with n runnable jobs. */
@@ -121,6 +120,8 @@ class PsCpu
     std::size_t configuredThreads = 0;
 
     std::vector<Job> jobs;
+    /** onCompletion()'s finished callbacks, reused across events. */
+    std::vector<Callback> finished;
     double lastUpdate = 0.0;
     EventId pending = 0;
     double totalDemand = 0.0;

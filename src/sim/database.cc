@@ -16,8 +16,7 @@ Database::Database(Simulator &sim, std::size_t connections,
 }
 
 void
-Database::query(DbDomain domain, double demand,
-                std::function<void()> done)
+Database::query(DbDomain domain, double demand, Callback done)
 {
     WCNN_REQUIRE(demand > 0.0, "database demand must be positive, got ",
                  demand);
@@ -29,8 +28,7 @@ Database::query(DbDomain domain, double demand,
 }
 
 void
-Database::beginService(DbDomain domain, double demand,
-                       std::function<void()> done)
+Database::beginService(DbDomain domain, double demand, Callback done)
 {
     // Lock contention against same-domain queries already in flight.
     const std::size_t domain_busy =
@@ -39,15 +37,23 @@ Database::beginService(DbDomain domain, double demand,
         demand * (1.0 + lockFactor * static_cast<double>(domain_busy));
     ++busy;
     ++busyPerDomain[static_cast<std::size_t>(domain)];
-    sim.schedule(service,
-                 [this, domain, cb = std::move(done)]() mutable {
-                     onComplete(domain, std::move(cb));
-                 });
+    std::uint32_t slot;
+    if (freeParked.empty()) {
+        slot = static_cast<std::uint32_t>(parked.size());
+        parked.push_back(std::move(done));
+    } else {
+        slot = freeParked.back();
+        freeParked.pop_back();
+        parked[slot] = std::move(done);
+    }
+    sim.schedule(service, [this, domain, slot] { onComplete(domain, slot); });
 }
 
 void
-Database::onComplete(DbDomain domain, std::function<void()> done)
+Database::onComplete(DbDomain domain, std::uint32_t slot)
 {
+    Callback done = std::move(parked[slot]);
+    freeParked.push_back(slot);
     WCNN_ENSURE(busy > 0, "completion with no busy connections");
     WCNN_ENSURE(busyPerDomain[static_cast<std::size_t>(domain)] > 0,
                 "completion for an idle domain");

@@ -16,8 +16,9 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
-#include <functional>
+#include <vector>
 
 #include "sim/simulator.hh"
 
@@ -60,8 +61,7 @@ class Database
      * @param demand Base service demand in seconds (> 0).
      * @param done   Completion callback.
      */
-    void query(DbDomain domain, double demand,
-               std::function<void()> done);
+    void query(DbDomain domain, double demand, Callback done);
 
     /** Queries currently being served (all domains). */
     std::size_t inService() const { return busy; }
@@ -84,15 +84,14 @@ class Database
     {
         DbDomain domain;
         double demand;
-        std::function<void()> done;
+        Callback done;
     };
 
     /** Move a queued query into service if a connection is free. */
-    void beginService(DbDomain domain, double demand,
-                      std::function<void()> done);
+    void beginService(DbDomain domain, double demand, Callback done);
 
-    /** Service-completion handler. */
-    void onComplete(DbDomain domain, std::function<void()> done);
+    /** Service-completion handler for the query parked in `slot`. */
+    void onComplete(DbDomain domain, std::uint32_t slot);
 
     Simulator &sim;
     std::size_t connections;
@@ -102,6 +101,12 @@ class Database
     std::array<std::size_t, numDbDomains> busyPerDomain{};
     std::size_t nCompleted = 0;
     std::deque<Pending> backlog;
+    /**
+     * Completion callbacks of in-service queries. A Callback cannot
+     * capture another, so the completion event captures a slot index.
+     */
+    std::vector<Callback> parked;
+    std::vector<std::uint32_t> freeParked;
 };
 
 } // namespace sim

@@ -21,7 +21,6 @@
 
 #include <cstddef>
 #include <deque>
-#include <functional>
 #include <string>
 
 #include "numeric/stats.hh"
@@ -41,7 +40,7 @@ class ThreadPool
      * call exactly once when it is finished (possibly much later, after
      * asynchronous sub-steps).
      */
-    using Work = std::function<void(std::function<void()> done)>;
+    using Work = InlineFunction<void(Callback done)>;
 
     /**
      * @param sim         Owning simulator (used for timestamps only).

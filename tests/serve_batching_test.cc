@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <thread>
@@ -235,10 +236,18 @@ TEST(ServeBatchingTest, QueueBoundRejectsWithOverloaded)
     opts.maxBatch = 4;
     opts.maxDelayUs = 50000; // keep the dispatcher waiting
     MicroBatcher batcher(registry, opts);
+    // The first group's completion hook holds the dispatcher until the
+    // flood is queued, so it cannot drain the queue below the bound
+    // however the threads are scheduled. Declared after the batcher:
+    // if the test body throws, the broken promise frees the dispatcher
+    // before the batcher's destructor joins it.
+    std::promise<void> releaseDispatcher;
+    const std::shared_future<void> gate =
+        releaseDispatcher.get_future().share();
 
     // Flood with more queued rows than the bound allows; at least one
-    // submit must be rejected typed (exact count is timing-dependent,
-    // the stats must agree with whatever happened).
+    // submit must be rejected typed, and the stats must agree with
+    // whatever happened.
     Rng rng(8);
     std::vector<PredictionFuture> accepted;
     std::uint64_t rejected = 0;
@@ -246,12 +255,17 @@ TEST(ServeBatchingTest, QueueBoundRejectsWithOverloaded)
         Matrix xs(3, 3);
         for (std::size_t i = 0; i < xs.rows(); ++i)
             xs.setRow(i, randomInput(rng));
+        std::function<void()> on_ready;
+        if (g == 0)
+            on_ready = [gate] { gate.wait(); };
         try {
-            accepted.push_back(batcher.submitMany(std::move(xs)));
+            accepted.push_back(
+                batcher.submitMany(std::move(xs), std::move(on_ready)));
         } catch (const Overloaded &) {
             ++rejected;
         }
     }
+    releaseDispatcher.set_value();
     EXPECT_GT(rejected, 0u);
     for (PredictionFuture &f : accepted)
         EXPECT_EQ(f.get().rows(), 3u);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "sim/simulator.hh"
@@ -141,4 +142,71 @@ TEST(SimulatorTest, PendingEventsExcludesCancelled)
     EXPECT_EQ(sim.pendingEvents(), 2u);
     sim.cancel(id);
     EXPECT_EQ(sim.pendingEvents(), 1u);
+}
+
+TEST(SimulatorTest, CancelAfterFireIsNoOp)
+{
+    Simulator sim;
+    int fired = 0;
+    const auto id = sim.schedule(1.0, [&] { ++fired; });
+    sim.run(2.0);
+    EXPECT_EQ(fired, 1);
+    sim.cancel(id);
+    sim.cancel(id);
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+    sim.schedule(1.0, [&] { ++fired; });
+    EXPECT_EQ(sim.pendingEvents(), 1u);
+    sim.run(4.0);
+    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+}
+
+TEST(SimulatorTest, StaleHandleDoesNotCancelReusedSlot)
+{
+    Simulator sim;
+    std::vector<int> order;
+    // A fired handle, then a cancelled one: each frees its slot for the
+    // next schedule, and the old handle must not reach the new event.
+    const auto fired = sim.schedule(1.0, [&] { order.push_back(1); });
+    sim.run(1.0);
+    sim.schedule(1.0, [&] { order.push_back(2); });
+    sim.cancel(fired);
+    const auto cancelled = sim.schedule(1.0, [&] { order.push_back(-1); });
+    EXPECT_NE(cancelled, fired);
+    sim.cancel(cancelled);
+    sim.schedule(1.0, [&] { order.push_back(3); });
+    sim.cancel(cancelled);
+    EXPECT_EQ(sim.pendingEvents(), 2u);
+    sim.run(3.0);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(sim.eventsProcessed(), 3u);
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+}
+
+TEST(SimulatorTest, ZeroDelayCancelAndRescheduleFireInSchedulingOrder)
+{
+    // The PS CPU's pattern: at one instant, cancel the pending
+    // completion and schedule a new one among other zero-delay events.
+    // Stale heap records share the timestamp and precede their slot's
+    // new occupant; they must be skipped, and the rest fire FIFO.
+    Simulator sim;
+    std::vector<int> order;
+    sim.schedule(1.0, [&] {
+        sim.schedule(0.0, [&] { order.push_back(1); });
+        auto pending = sim.schedule(0.0, [&] { order.push_back(-1); });
+        sim.cancel(pending);
+        sim.schedule(0.0, [&] { order.push_back(2); });
+        pending = sim.schedule(0.0, [&] { order.push_back(-2); });
+        sim.cancel(pending);
+        pending = sim.schedule(0.0, [&] {
+            order.push_back(3);
+            sim.schedule(0.0, [&] { order.push_back(5); });
+        });
+        sim.schedule(0.0, [&] { order.push_back(4); });
+    });
+    sim.run(1.0);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+    EXPECT_EQ(sim.eventsProcessed(), 6u);
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+    EXPECT_DOUBLE_EQ(sim.now(), 1.0);
 }

@@ -18,6 +18,7 @@
 #include "core/parallel.hh"
 #include "sim/thread_pool.hh"
 
+using wcnn::sim::Callback;
 using wcnn::sim::Simulator;
 using wcnn::sim::ThreadPool;
 
@@ -33,7 +34,7 @@ TEST(ThreadPoolTest, ImmediateDispatchWhenIdle)
     Simulator sim;
     ThreadPool pool(sim, "web", 2, 10);
     bool started = false;
-    pool.submit([&](std::function<void()> done) {
+    pool.submit([&](Callback done) {
         started = true;
         done();
     });
@@ -46,13 +47,13 @@ TEST(ThreadPoolTest, ThreadHeldUntilCompletionThunk)
 {
     Simulator sim;
     ThreadPool pool(sim, "web", 1, 10);
-    std::function<void()> finish;
-    pool.submit([&](std::function<void()> done) {
+    Callback finish;
+    pool.submit([&](Callback done) {
         finish = std::move(done);
     });
     EXPECT_EQ(pool.busy(), 1u);
     bool second_started = false;
-    pool.submit([&](std::function<void()> done) {
+    pool.submit([&](Callback done) {
         second_started = true;
         done();
     });
@@ -67,16 +68,16 @@ TEST(ThreadPoolTest, BacklogCapRejects)
 {
     Simulator sim;
     ThreadPool pool(sim, "web", 1, 2);
-    std::vector<std::function<void()>> finishers;
+    std::vector<Callback> finishers;
     // Occupy the worker and fill the backlog.
     for (int i = 0; i < 3; ++i) {
-        const bool ok = pool.submit([&](std::function<void()> done) {
+        const bool ok = pool.submit([&](Callback done) {
             finishers.push_back(std::move(done));
         });
         EXPECT_TRUE(ok);
     }
     EXPECT_EQ(pool.queued(), 2u);
-    EXPECT_FALSE(pool.submit([](std::function<void()>) {}));
+    EXPECT_FALSE(pool.submit([](Callback) {}));
     EXPECT_EQ(pool.dropped(), 1u);
 }
 
@@ -85,11 +86,11 @@ TEST(ThreadPoolTest, QueueDelayMeasured)
     Simulator sim;
     ThreadPool pool(sim, "web", 1, 10);
     // First item holds the thread for 2 seconds of simulated time.
-    pool.submit([&](std::function<void()> done) {
-        sim.schedule(2.0, done);
+    pool.submit([&](Callback done) {
+        sim.schedule(2.0, std::move(done));
     });
     bool ran = false;
-    pool.submit([&](std::function<void()> done) {
+    pool.submit([&](Callback done) {
         ran = true;
         done();
     });
@@ -105,13 +106,16 @@ TEST(ThreadPoolTest, ParallelWorkersRunConcurrently)
     Simulator sim;
     ThreadPool pool(sim, "web", 3, 10);
     int active_peak = 0, active = 0;
-    for (int i = 0; i < 3; ++i) {
-        pool.submit([&](std::function<void()> done) {
+    // A Callback cannot capture another; park each thunk by index.
+    std::vector<Callback> finishers(3);
+    for (std::size_t i = 0; i < 3; ++i) {
+        pool.submit([&, i](Callback done) {
             ++active;
             active_peak = std::max(active_peak, active);
-            sim.schedule(1.0, [&active, done = std::move(done)] {
+            finishers[i] = std::move(done);
+            sim.schedule(1.0, [&active, &finishers, i] {
                 --active;
-                done();
+                finishers[i]();
             });
         });
     }
