@@ -37,7 +37,7 @@
 #include "model/nn_model.hh"
 #include "numeric/rng.hh"
 #include "serve/bundle.hh"
-#include "serve/engine.hh"
+#include "serve/server.hh"
 #include "serve/registry.hh"
 
 using namespace wcnn;

@@ -55,21 +55,12 @@ PredictionFuture::get()
     rethrowOutcome(outcome.kind, outcome.message);
 }
 
-bool
-PredictionFuture::ready() const
-{
-    return inner.valid() &&
-           inner.wait_for(std::chrono::seconds(0)) ==
-               std::future_status::ready;
-}
-
 void
 MicroBatcher::resolve(Group &group, BatchOutcome outcome)
 {
     group.promise.set_value(std::move(outcome));
-    // The hook fires strictly after the future is readable: a poller
-    // woken by it must observe ready()==true, never a spurious wake
-    // it would then wait on forever.
+    // The hook fires strictly after the future is readable, so a
+    // waiter it wakes can get() without blocking.
     if (group.notify)
         group.notify();
 }

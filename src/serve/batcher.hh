@@ -121,9 +121,6 @@ class PredictionFuture
     /** Whether the future still owns a pending outcome. */
     bool valid() const { return inner.valid(); }
 
-    /** Whether get() would return without blocking. */
-    bool ready() const;
-
   private:
     friend class MicroBatcher;
     explicit PredictionFuture(std::future<BatchOutcome> f)
@@ -178,13 +175,13 @@ class MicroBatcher
      * @return Future of the prediction matrix; its get() throws a
      *         ServeError if the model is swapped to an incompatible
      *         arity before execution or the forward faults.
-     * @param on_ready Optional completion hook: invoked exactly once
-     *        from the dispatcher thread, strictly *after* the group's
-     *        future became ready (success or failure, including the
-     *        shutdown drain) — a woken poller is guaranteed to see
-     *        ready()==true. Event-loop transports use it to wake
-     *        their reactor instead of blocking on get(); pass an
-     *        empty function to poll or block instead.
+     * @param on_ready Optional completion hook, a test seam: invoked
+     *        exactly once from the dispatcher thread, strictly
+     *        *after* the group's future became ready (success or
+     *        failure, including the shutdown drain). A hook that
+     *        blocks holds the dispatcher, which is how
+     *        serve_batching_test's queue-bound case keeps the queue
+     *        full deterministically. The serving path passes none.
      * @throws Overloaded   When the queue row bound is exceeded.
      * @throws NoModelError When no bundle is deployed.
      * @throws BadRequest   On arity mismatch or an empty group.

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -138,79 +137,6 @@ TcpStream::writeAll(const void *data, std::size_t size)
 }
 
 void
-TcpStream::setNonBlocking(bool enabled)
-{
-    if (fd < 0)
-        throw ServeError("setNonBlocking on a closed stream");
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    if (flags < 0)
-        throwErrno("fcntl(F_GETFL)");
-    const int wanted =
-        enabled ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
-    if (wanted != flags && ::fcntl(fd, F_SETFL, wanted) < 0)
-        throwErrno("fcntl(F_SETFL)");
-}
-
-NbStatus
-TcpStream::readNb(std::uint8_t *buffer, std::size_t capacity,
-                  std::size_t &bytes_read)
-{
-    bytes_read = 0;
-    if (fd < 0)
-        return NbStatus::Eof;
-    ssize_t n = 0;
-    do {
-        n = ::recv(fd, buffer, capacity, 0);
-    } while (n < 0 && errno == EINTR);
-    if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            return NbStatus::WouldBlock;
-        throwErrno("recv");
-    }
-    if (n == 0)
-        return NbStatus::Eof;
-    bytes_read = static_cast<std::size_t>(n);
-    return NbStatus::Ready;
-}
-
-NbStatus
-TcpStream::writeNb(const void *data, std::size_t size,
-                   std::size_t &bytes_written)
-{
-    bytes_written = 0;
-    if (fd < 0)
-        throw ServeError("write on a closed stream");
-    ssize_t n = 0;
-    do {
-        n = ::send(fd, data, size, MSG_NOSIGNAL);
-    } while (n < 0 && errno == EINTR);
-    if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            return NbStatus::WouldBlock;
-        throwErrno("send");
-    }
-    bytes_written = static_cast<std::size_t>(n);
-    return NbStatus::Ready;
-}
-
-bool
-TcpStream::waitWritable(int timeout_ms)
-{
-    if (fd < 0)
-        throw ServeError("waitWritable on a closed stream");
-    pollfd pfd{};
-    pfd.fd = fd;
-    pfd.events = POLLOUT;
-    int ready = 0;
-    do {
-        ready = ::poll(&pfd, 1, timeout_ms);
-    } while (ready < 0 && errno == EINTR);
-    if (ready < 0)
-        throwErrno("poll");
-    return ready > 0;
-}
-
-void
 TcpStream::shutdownWrite()
 {
     if (fd >= 0)
@@ -229,7 +155,7 @@ TcpStream::close()
 // TcpListener --------------------------------------------------------
 
 TcpListener::TcpListener(const std::string &host, std::uint16_t port,
-                         int backlog, bool reuse_port)
+                         int backlog)
 {
     fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0)
@@ -237,15 +163,6 @@ TcpListener::TcpListener(const std::string &host, std::uint16_t port,
 
     const int one = 1;
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (reuse_port &&
-        ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) !=
-            0) {
-        const int saved = errno;
-        ::close(fd);
-        fd = -1;
-        errno = saved;
-        throwErrno("setsockopt SO_REUSEPORT");
-    }
 
     sockaddr_in addr{};
     addr.sin_family = AF_INET;

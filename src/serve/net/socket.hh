@@ -37,18 +37,6 @@ enum class ReadStatus
 };
 
 /**
- * Result of a nonblocking read/write attempt (the reactor engine's
- * vocabulary; kept separate from ReadStatus so the blocking API's
- * exhaustive switches stay exhaustive).
- */
-enum class NbStatus
-{
-    Ready,      ///< bytes were transferred
-    WouldBlock, ///< nothing transferable now; wait for readiness
-    Eof,        ///< (reads only) the peer closed the connection
-};
-
-/**
  * One connected TCP socket (client or accepted server side).
  */
 class TcpStream
@@ -98,58 +86,8 @@ class TcpStream
      */
     void writeAll(const void *data, std::size_t size);
 
-    /**
-     * Switch the descriptor between blocking and nonblocking modes
-     * (O_NONBLOCK). The reactor engine runs every accepted stream
-     * nonblocking; the blocking API above must not be used after
-     * enabling this.
-     *
-     * @throws ServeError when the flag cannot be changed.
-     */
-    void setNonBlocking(bool enabled);
-
-    /**
-     * Nonblocking read attempt.
-     *
-     * @param buffer     Destination.
-     * @param capacity   Destination size; must be > 0.
-     * @param bytes_read Set to the byte count when Ready is returned.
-     * @throws ServeError on a socket error.
-     */
-    NbStatus readNb(std::uint8_t *buffer, std::size_t capacity,
-                    std::size_t &bytes_read);
-
-    /**
-     * Nonblocking write attempt (partial writes expected; SIGPIPE
-     * suppressed).
-     *
-     * @param data          Source.
-     * @param size          Bytes offered; must be > 0.
-     * @param bytes_written Set to the byte count when Ready is
-     *                      returned.
-     * @throws ServeError when the peer is gone or the socket errors.
-     */
-    NbStatus writeNb(const void *data, std::size_t size,
-                     std::size_t &bytes_written);
-
-    /**
-     * Wait until the socket accepts more bytes (graceful-drain
-     * flushing of a nonblocking stream).
-     *
-     * @param timeout_ms Poll bound in milliseconds; < 0 waits forever.
-     * @return True when writable, false on timeout.
-     * @throws ServeError on a socket error.
-     */
-    bool waitWritable(int timeout_ms);
-
     /** Half-close: shut down the write side, keep reading (FIN). */
     void shutdownWrite();
-
-    /**
-     * The raw descriptor, for registration with a Reactor. Ownership
-     * stays with the stream; -1 when invalid.
-     */
-    int nativeHandle() const { return fd; }
 
     /** Close now (idempotent; the destructor also closes). */
     void close();
@@ -167,17 +105,12 @@ class TcpListener
     /**
      * Bind and listen.
      *
-     * @param host       Local IPv4 address to bind ("127.0.0.1").
-     * @param port       Port; 0 picks an ephemeral port (see port()).
-     * @param backlog    listen(2) backlog.
-     * @param reuse_port Also set SO_REUSEPORT before binding, so
-     *                   multiple listeners can share one address and
-     *                   the kernel load-balances accepts across them
-     *                   (the epoll engine's multi-acceptor mode).
+     * @param host    Local IPv4 address to bind ("127.0.0.1").
+     * @param port    Port; 0 picks an ephemeral port (see port()).
+     * @param backlog listen(2) backlog.
      * @throws ServeError when the address cannot be bound.
      */
-    TcpListener(const std::string &host, std::uint16_t port, int backlog,
-                bool reuse_port = false);
+    TcpListener(const std::string &host, std::uint16_t port, int backlog);
 
     TcpListener(const TcpListener &) = delete;
     TcpListener &operator=(const TcpListener &) = delete;

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "core/contracts.hh"
 #include "core/failpoint.hh"
 #include "serve/error.hh"
 
@@ -19,10 +18,8 @@ toBytes(const std::string &s)
 
 } // namespace
 
-Session::Session(ServeCore &serve_core, bool coalesce_frames,
-                 std::function<void()> on_ready)
-    : core(serve_core), coalesce(coalesce_frames),
-      onReady(std::move(on_ready))
+Session::Session(ServeCore &serve_core, bool coalesce_frames)
+    : core(serve_core), coalesce(coalesce_frames)
 {
 }
 
@@ -49,11 +46,10 @@ Session::processBinary()
 {
     // Decode every complete frame currently buffered; consecutive
     // requests coalesce into one micro-batch group. Replies are
-    // staged per frame, in arrival order — a request's outbox slot
-    // stays pending until its prediction resolves, and nothing
-    // staged after it can be emitted before it (collect()).
+    // staged per frame, in arrival order — a request reserves its
+    // outbox slot here and answer() fills it.
     std::vector<numeric::Vector> requests;
-    std::vector<std::uint64_t> seqs;
+    std::vector<std::size_t> slots;
     bool close_after_flush = false;
 
     while (!close_after_flush) {
@@ -72,8 +68,7 @@ Session::processBinary()
                  rx.begin() + static_cast<std::ptrdiff_t>(r.consumed));
         switch (r.frame.type) {
         case net::FrameType::Request:
-            seqs.push_back(baseSeq + outbox.size());
-            outbox.emplace_back(); // pending reply slot
+            slots.push_back(reserveSlot());
             requests.push_back(std::move(r.frame.values));
             break;
         case net::FrameType::Ping:
@@ -95,7 +90,7 @@ Session::processBinary()
     }
 
     if (!requests.empty())
-        submitRequests(requests, std::move(seqs), /*json=*/false);
+        answer(requests, slots, /*json=*/false);
 
     return close_after_flush ? Verdict::CloseAfterFlush
                              : Verdict::Continue;
@@ -107,7 +102,7 @@ Session::processJson()
     // Cut every complete line out of the buffer, then answer the
     // batch of lines together (same coalescing as binary mode).
     std::vector<numeric::Vector> requests;
-    std::vector<std::uint64_t> seqs;
+    std::vector<std::size_t> slots;
     bool close_after_flush = false;
 
     std::size_t newline = rxText.find('\n');
@@ -131,8 +126,7 @@ Session::processJson()
                 handleObserve(frame.values, frame.observed,
                               /*json=*/true);
             } else {
-                seqs.push_back(baseSeq + outbox.size());
-                outbox.emplace_back(); // pending reply slot
+                slots.push_back(reserveSlot());
                 requests.push_back(std::move(frame.values));
             }
         } catch (const ProtocolError &error) {
@@ -145,7 +139,7 @@ Session::processJson()
     }
 
     if (!requests.empty())
-        submitRequests(requests, std::move(seqs), /*json=*/true);
+        answer(requests, slots, /*json=*/true);
 
     return close_after_flush ? Verdict::CloseAfterFlush
                              : Verdict::Continue;
@@ -158,7 +152,7 @@ Session::handleObserve(const numeric::Vector &x,
     // Observations are answered inline, in arrival order: the direct
     // incumbent forward is synchronous and never enters the batcher,
     // so the Ack (or typed validation error) stages immediately behind
-    // whatever predictions are still pending ahead of it.
+    // the request slots reserved ahead of it.
     try {
         core.observe(x, y);
         stageDone(json ? toBytes(net::formatJsonAck())
@@ -175,129 +169,52 @@ Session::handleObserve(const numeric::Vector &x,
 void
 Session::stageDone(net::Bytes bytes)
 {
-    Entry entry;
-    entry.bytes = std::move(bytes);
-    entry.done = true;
-    outbox.push_back(std::move(entry));
+    outbox.push_back(std::move(bytes));
 }
 
-Session::Entry &
-Session::entryAt(std::uint64_t seq)
+std::size_t
+Session::reserveSlot()
 {
-    WCNN_REQUIRE(seq >= baseSeq &&
-                     seq - baseSeq < outbox.size(),
-                 "reply slot already emitted or never staged");
-    return outbox[static_cast<std::size_t>(seq - baseSeq)];
+    outbox.emplace_back();
+    return outbox.size() - 1;
 }
 
 void
-Session::fulfil(std::uint64_t seq, net::Bytes bytes)
+Session::answer(const std::vector<numeric::Vector> &requests,
+                const std::vector<std::size_t> &slots, bool json)
 {
-    Entry &entry = entryAt(seq);
-    entry.bytes = std::move(bytes);
-    entry.done = true;
-}
-
-void
-Session::submitRequests(const std::vector<numeric::Vector> &requests,
-                        std::vector<std::uint64_t> seqs, bool json)
-{
-    // Inline answers (validation failures, cache hits, admission
-    // rejections) land in their slots before this returns; misses
-    // come back later through finish().
-    const auto on_result = [this, &seqs,
-                            json](std::size_t i,
-                                  const numeric::Vector &y) {
-        fulfil(seqs[i], json ? toBytes(net::formatJsonResponse(y))
-                             : net::encodeResponse(y));
-    };
-    const auto on_error = [this, &seqs,
-                           json](std::size_t i,
-                                 const wcnn::Error &error) {
-        fulfil(seqs[i],
-               json ? toBytes(net::formatJsonError(
-                          error.kind(), bareErrorMessage(error)))
-                    : net::encodeError(error.kind(),
-                                       bareErrorMessage(error)));
-    };
-    std::vector<ServeCore::PendingGroup> groups =
-        core.answerRequestsAsync(requests, on_result, on_error,
-                                 onReady);
-    for (ServeCore::PendingGroup &group : groups) {
-        Pending p;
-        p.group = std::move(group);
-        p.seqs = seqs;
-        p.json = json;
-        pending.push_back(std::move(p));
-    }
-}
-
-void
-Session::finish(Pending &p)
-{
-    // Rebuild the slot-addressed callbacks: rows land in the outbox
-    // entries reserved at decode time, so arrival order is preserved
-    // no matter when (or in what order) groups resolve.
-    const std::vector<std::uint64_t> &seqs = p.seqs;
-    const bool json = p.json;
-    core.finishGroup(
-        p.group,
-        [this, &seqs, json](std::size_t i, const numeric::Vector &y) {
-            fulfil(seqs[i], json ? toBytes(net::formatJsonResponse(y))
-                                 : net::encodeResponse(y));
+    core.answerRequests(
+        requests,
+        [this, &slots, json](std::size_t i, const numeric::Vector &y) {
+            outbox[slots[i]] = json
+                                   ? toBytes(net::formatJsonResponse(y))
+                                   : net::encodeResponse(y);
         },
-        [this, &seqs, json](std::size_t i, const wcnn::Error &error) {
-            fulfil(seqs[i],
-                   json ? toBytes(net::formatJsonError(
-                              error.kind(), bareErrorMessage(error)))
-                        : net::encodeError(error.kind(),
-                                           bareErrorMessage(error)));
+        [this, &slots, json](std::size_t i, const wcnn::Error &error) {
+            outbox[slots[i]] =
+                json ? toBytes(net::formatJsonError(
+                           error.kind(), bareErrorMessage(error)))
+                     : net::encodeError(error.kind(),
+                                        bareErrorMessage(error));
         });
 }
 
 void
-Session::collect(bool block, std::vector<net::Bytes> &writes)
-{
-    // Resolve what has resolved (everything, when blocking). Groups
-    // resolve in dispatcher FIFO order, but nothing here relies on
-    // that: rows are slot-addressed.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-        if (block || pending[i].group.ready()) {
-            finish(pending[i]);
-        } else {
-            if (kept != i)
-                pending[kept] = std::move(pending[i]);
-            ++kept;
-        }
-    }
-    pending.resize(kept);
-    emit(writes);
-}
-
-void
-Session::emit(std::vector<net::Bytes> &writes)
+Session::collect(std::vector<net::Bytes> &writes)
 {
     if (coalesce) {
         net::Bytes out;
-        while (!outbox.empty() && outbox.front().done) {
-            out.insert(out.end(), outbox.front().bytes.begin(),
-                       outbox.front().bytes.end());
-            outbox.pop_front();
-            ++baseSeq;
-        }
+        for (const net::Bytes &reply : outbox)
+            out.insert(out.end(), reply.begin(), reply.end());
         if (!out.empty())
             writes.push_back(std::move(out));
     } else {
         // Per-request baseline: one write(2) per reply frame, like a
         // server with no batching anywhere.
-        while (!outbox.empty() && outbox.front().done) {
-            if (!outbox.front().bytes.empty())
-                writes.push_back(std::move(outbox.front().bytes));
-            outbox.pop_front();
-            ++baseSeq;
-        }
+        for (net::Bytes &reply : outbox)
+            writes.push_back(std::move(reply));
     }
+    outbox.clear();
 }
 
 } // namespace serve

@@ -5,44 +5,28 @@
  * A Session owns everything about one connection that is *not* I/O:
  * the receive buffer, the binary-vs-JSON mode detection, incremental
  * frame decoding, coalescing consecutive requests into one batcher
- * group, and the strict request-order staging of replies. Transports
- * feed it raw received bytes via consume(), then call collect() to
- * take the reply buffers that are ready — each element is exactly one
- * write(2)'s worth, so the per-request baseline (coalesceFrames =
- * false) keeps its one-write-per-response shape on both engines.
+ * group, and the strict request-order staging of replies. The
+ * connection thread feeds it raw received bytes via consume(), then
+ * calls collect() to take the staged replies — each element is
+ * exactly one write(2)'s worth, so the per-request baseline
+ * (coalesceFrames = false) keeps its one-write-per-response shape.
  *
- * consume() never blocks on the batcher: requests are submitted
- * asynchronously (ServeCore::answerRequestsAsync) and their reply
- * slots stay pending in the outbox until the prediction resolves.
- * The threaded engine calls collect(block=true) right after each
- * consume(), which resolves everything in arrival order — the exact
- * bytes it always produced. The epoll engine calls
- * collect(block=false) and is woken by the batcher's completion
- * hook instead, so a shard event loop keeps serving its other
- * connections while a prediction is in flight; this is what lets the
- * whole engine hold more in-flight batch groups than it has shards.
- *
- * Both serving front ends (threaded InferenceServer, epoll
- * EventServer) drive the same Session, which is what lets the
- * equivalence suite demand *byte-identical* response streams: the
- * only thing an engine contributes is when reads happen and how
- * writes are flushed, never what bytes are produced.
+ * consume() answers every complete frame before it returns: the
+ * requests it decoded are handed to ServeCore::answerRequests, which
+ * blocks for the batcher, so collect() only ever takes finished
+ * replies.
  *
  * Reply ordering contract: replies are staged strictly in frame
  * arrival order — a pong or a protocol-error frame never overtakes
  * the responses of requests received before it, no matter how the
- * reads were fragmented and no matter which batcher group resolves
- * first. collect() only releases the *contiguous completed prefix*
- * of the outbox; a reply staged behind a still-pending prediction
- * waits for it. (The pre-reactor server let a pong jump ahead of
- * requests that shared its read chunk, which made the wire stream
- * depend on TCP segmentation; the equivalence gate forbids exactly
- * that kind of nondeterminism.)
+ * reads were fragmented. Each request reserves its outbox slot at
+ * decode time and its prediction fills that slot, so the reply
+ * stream depends only on the frames sent, never on TCP segmentation
+ * (tests/serve_equivalence_test.cc pins the bytes).
  *
- * Failpoints: the shared "serve.decode" site lives here (one check
- * per decoded frame/line, matching the threaded server's historical
- * placement); "serve.read"/"serve.write" belong to the transports
- * and "serve.predict" to the MicroBatcher.
+ * Failpoints: the "serve.decode" site lives here (one check per
+ * decoded frame/line); "serve.read"/"serve.write" belong to the
+ * connection loop and "serve.predict" to the MicroBatcher.
  */
 
 #ifndef WCNN_SERVE_SESSION_HH
@@ -50,13 +34,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "serve/engine.hh"
 #include "serve/net/protocol.hh"
+#include "serve/server.hh"
 
 namespace wcnn {
 namespace serve {
@@ -71,30 +53,23 @@ class Session
     enum class Verdict
     {
         Continue,        ///< keep reading
-        CloseAfterFlush, ///< stop reading; close once drained()
+        CloseAfterFlush, ///< stop reading; close after the writes
     };
 
     /**
      * @param serve_core Shared serving core answering the requests.
-     * @param coalesce   ServeOptions::coalesceFrames of the engine.
-     * @param on_ready   Optional wake hook, forwarded to the batcher
-     *                   (MicroBatcher::submitMany): fires from the
-     *                   dispatcher thread when an in-flight group
-     *                   resolved, meaning a collect(false) call would
-     *                   now make progress. Event-loop transports pass
-     *                   their reactor wakeup; blocking transports
-     *                   pass nothing and use collect(true).
+     * @param coalesce   ServeOptions::coalesceFrames of the server.
      */
-    Session(ServeCore &serve_core, bool coalesce,
-            std::function<void()> on_ready = {});
+    Session(ServeCore &serve_core, bool coalesce);
 
     Session(const Session &) = delete;
     Session &operator=(const Session &) = delete;
 
     /**
-     * Feed received bytes and process every complete frame/line now
-     * buffered: pongs and typed errors are staged immediately,
-     * requests are submitted to the serving core without blocking.
+     * Feed received bytes and answer every complete frame/line now
+     * buffered: pongs, acks and typed errors are staged immediately,
+     * requests go through the serving core (blocking for the
+     * batcher) and land in the slots reserved at decode time.
      *
      * @throws ServeError from the "serve.decode" failpoint; typed
      *         request failures never throw — they become error
@@ -103,25 +78,11 @@ class Session
     Verdict consume(const std::uint8_t *data, std::size_t n);
 
     /**
-     * Deliver resolved predictions into their outbox slots, then
-     * append every reply buffer that is ready — the contiguous
-     * completed prefix of the outbox, in frame-arrival order — to
-     * `writes` (one element per intended write(2); a single
-     * coalesced element when coalescing is on).
-     *
-     * @param block True blocks until every in-flight group resolved
-     *        (the threaded engine's per-chunk behaviour); false only
-     *        takes what is already complete.
+     * Append every staged reply, in frame-arrival order, to `writes`
+     * (one element per intended write(2); a single coalesced element
+     * when coalescing is on) and empty the outbox.
      */
-    void collect(bool block, std::vector<net::Bytes> &writes);
-
-    /** Whether any batcher group is still in flight. */
-    bool hasPending() const { return !pending.empty(); }
-
-    /** Whether every staged reply has been collected (nothing is in
-     *  flight and the outbox is empty) — the close gate transports
-     *  check before honouring Verdict::CloseAfterFlush. */
-    bool drained() const { return pending.empty() && outbox.empty(); }
+    void collect(std::vector<net::Bytes> &writes);
 
   private:
     enum class Mode
@@ -131,23 +92,6 @@ class Session
         Json,   ///< newline-delimited JSON
     };
 
-    /** One staged reply, in frame-arrival order. */
-    struct Entry
-    {
-        net::Bytes bytes;
-        bool done = false; ///< false while its prediction is pending
-    };
-
-    /** An in-flight batcher group plus the slot addressing needed to
-     *  land its rows in the outbox. */
-    struct Pending
-    {
-        ServeCore::PendingGroup group;
-        /** Outbox sequence number per request index. */
-        std::vector<std::uint64_t> seqs;
-        bool json = false;
-    };
-
     Verdict processBinary();
     Verdict processJson();
 
@@ -155,36 +99,24 @@ class Session
     void handleObserve(const numeric::Vector &x,
                        const numeric::Vector &y, bool json);
 
-    /** Stage a completed reply at the tail of the outbox. */
+    /** Stage a finished reply at the tail of the outbox. */
     void stageDone(net::Bytes bytes);
 
-    /** Submit decoded requests asynchronously; `seqs[i]` is the
-     *  outbox slot reserved for request i's reply. */
-    void submitRequests(const std::vector<numeric::Vector> &requests,
-                        std::vector<std::uint64_t> seqs, bool json);
+    /** Reserve an outbox slot for a request reply; returns its index. */
+    std::size_t reserveSlot();
 
-    /** Entry for an absolute sequence number. */
-    Entry &entryAt(std::uint64_t seq);
-
-    /** Fill a request slot with its reply. */
-    void fulfil(std::uint64_t seq, net::Bytes bytes);
-
-    /** Resolve one finished group into its outbox slots. */
-    void finish(Pending &p);
-
-    /** Move the completed outbox prefix into `writes`. */
-    void emit(std::vector<net::Bytes> &writes);
+    /** Answer decoded requests into their reserved outbox slots;
+     *  `slots[i]` is the outbox index of request i's reply. */
+    void answer(const std::vector<numeric::Vector> &requests,
+                const std::vector<std::size_t> &slots, bool json);
 
     ServeCore &core;
     const bool coalesce;
-    std::function<void()> onReady;
     Mode mode = Mode::Detect;
     net::Bytes rx;      ///< undecoded bytes (binary mode)
     std::string rxText; ///< unconsumed text (JSON mode)
 
-    std::deque<Entry> outbox;       ///< staged replies, arrival order
-    std::uint64_t baseSeq = 0;      ///< seq of outbox.front()
-    std::vector<Pending> pending;   ///< in-flight batcher groups
+    std::vector<net::Bytes> outbox; ///< staged replies, arrival order
 };
 
 } // namespace serve

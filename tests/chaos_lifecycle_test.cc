@@ -23,7 +23,7 @@
 #include "lifecycle/host.hh"
 #include "lifecycle/replay.hh"
 #include "lifecycle_test_util.hh"
-#include "serve/engine.hh"
+#include "serve/server.hh"
 #include "serve/registry.hh"
 
 namespace {

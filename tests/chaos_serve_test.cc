@@ -1,7 +1,7 @@
 /**
  * @file
- * Fault injection against the inference server — BOTH engines. The
- * serving contract under chaos — pinned here — is blast-radius
+ * Fault injection against the inference server. The serving
+ * contract under chaos — pinned here — is blast-radius
  * containment: a fault at any WCNN_FAILPOINT site (serve.accept /
  * serve.read / serve.decode / serve.predict / serve.write) costs at
  * most the affected request or connection; the server keeps
@@ -10,13 +10,10 @@
  * through all sites at once and then proves full recovery after the
  * faults are disarmed.
  *
- * Every scenario runs parametrized over {threaded, epoll}: the
- * containment contract is engine-independent, and for the epoll
- * engine it sharpens into "one poisoned connection never kills its
- * shard loop" — a shard multiplexes many connections onto one
- * thread, so a leaked exception there would take innocent
- * connections down with it. The shards=1 scenarios force every
- * connection onto the same loop to make that exact mistake fatal.
+ * The poison scenarios pin the bystander side of containment: a
+ * connection that sends garbage or trips a decode fault is closed,
+ * while the other connections served at the same time keep getting
+ * exact answers.
  *
  * Failpoint scenarios need library-side injection sites, so they
  * skip when the serve library was built with WCNN_NO_FAILPOINTS.
@@ -35,9 +32,9 @@
 #include "nn/mlp.hh"
 #include "numeric/rng.hh"
 #include "serve/bundle.hh"
-#include "serve/engine.hh"
 #include "serve/error.hh"
 #include "serve/net/client.hh"
+#include "serve/server.hh"
 
 namespace fp = wcnn::core::failpoint;
 namespace net = wcnn::serve::net;
@@ -50,26 +47,24 @@ using wcnn::nn::Mlp;
 using wcnn::numeric::Rng;
 using wcnn::numeric::Vector;
 using wcnn::serve::BundlePtr;
-using wcnn::serve::EngineKind;
-using wcnn::serve::makeServer;
+using wcnn::serve::InferenceServer;
 using wcnn::serve::ModelBundle;
 using wcnn::serve::ServeError;
 using wcnn::serve::ServeOptions;
-using wcnn::serve::ServerEngine;
 
 namespace {
 
 constexpr const char *kHost = "127.0.0.1";
 
-class ChaosServeTest : public ::testing::TestWithParam<EngineKind>
+class ChaosServeTest : public ::testing::Test
 {
   protected:
     void SetUp() override { fp::reset(); }
     void TearDown() override { fp::reset(); }
 
-    std::unique_ptr<ServerEngine> makeEngine(ServeOptions opts = {})
+    std::unique_ptr<InferenceServer> newServer(ServeOptions opts = {})
     {
-        return makeServer(GetParam(), std::move(opts));
+        return std::make_unique<InferenceServer>(std::move(opts));
     }
 };
 
@@ -99,7 +94,7 @@ const Vector kX{1.0, -0.5, 2.0};
 
 /** A fresh connection must answer exactly (post-fault recovery). */
 void
-expectServesExactly(ServerEngine &server, const BundlePtr &bundle)
+expectServesExactly(InferenceServer &server, const BundlePtr &bundle)
 {
     net::ServeClient client =
         net::ServeClient::connect(kHost, server.port());
@@ -112,11 +107,11 @@ expectServesExactly(ServerEngine &server, const BundlePtr &bundle)
 
 } // namespace
 
-TEST_P(ChaosServeTest, PredictFaultAnswersTypedAndConnectionSurvives)
+TEST_F(ChaosServeTest, PredictFaultAnswersTypedAndConnectionSurvives)
 {
     REQUIRE_LIBRARY_FAILPOINTS();
     const BundlePtr bundle = makeBundle();
-    auto server = makeEngine();
+    auto server = newServer();
     server->deploy(bundle);
     server->start();
 
@@ -139,11 +134,11 @@ TEST_P(ChaosServeTest, PredictFaultAnswersTypedAndConnectionSurvives)
     server->stop();
 }
 
-TEST_P(ChaosServeTest, ReadFaultCostsOnlyThatConnection)
+TEST_F(ChaosServeTest, ReadFaultCostsOnlyThatConnection)
 {
     REQUIRE_LIBRARY_FAILPOINTS();
     const BundlePtr bundle = makeBundle();
-    auto server = makeEngine();
+    auto server = newServer();
     server->deploy(bundle);
     server->start();
 
@@ -169,11 +164,11 @@ TEST_P(ChaosServeTest, ReadFaultCostsOnlyThatConnection)
     server->stop();
 }
 
-TEST_P(ChaosServeTest, DecodeFaultCostsOnlyThatConnection)
+TEST_F(ChaosServeTest, DecodeFaultCostsOnlyThatConnection)
 {
     REQUIRE_LIBRARY_FAILPOINTS();
     const BundlePtr bundle = makeBundle();
-    auto server = makeEngine();
+    auto server = newServer();
     server->deploy(bundle);
     server->start();
 
@@ -187,11 +182,11 @@ TEST_P(ChaosServeTest, DecodeFaultCostsOnlyThatConnection)
     server->stop();
 }
 
-TEST_P(ChaosServeTest, WriteFaultCostsOnlyThatConnection)
+TEST_F(ChaosServeTest, WriteFaultCostsOnlyThatConnection)
 {
     REQUIRE_LIBRARY_FAILPOINTS();
     const BundlePtr bundle = makeBundle();
-    auto server = makeEngine();
+    auto server = newServer();
     server->deploy(bundle);
     server->start();
 
@@ -207,11 +202,11 @@ TEST_P(ChaosServeTest, WriteFaultCostsOnlyThatConnection)
     server->stop();
 }
 
-TEST_P(ChaosServeTest, AcceptFaultDropsOneConnectionThenRecovers)
+TEST_F(ChaosServeTest, AcceptFaultDropsOneConnectionThenRecovers)
 {
     REQUIRE_LIBRARY_FAILPOINTS();
     const BundlePtr bundle = makeBundle();
-    auto server = makeEngine();
+    auto server = newServer();
     server->deploy(bundle);
     server->start();
 
@@ -227,23 +222,18 @@ TEST_P(ChaosServeTest, AcceptFaultDropsOneConnectionThenRecovers)
 }
 
 /**
- * The epoll sharpening of blast-radius containment: with every
- * connection forced onto ONE shard loop, a peer that sends wire
- * garbage gets its typed protocol error and its close — while the
- * other connections multiplexed on the very same loop thread keep
- * being served exactly. (Threaded engine: trivially true, one thread
- * per connection — kept in the matrix as the reference behavior.)
+ * Blast-radius containment seen from the bystanders: a peer that
+ * sends wire garbage gets its typed protocol error and its close,
+ * while the connections open beside it keep being served exactly.
  */
-TEST_P(ChaosServeTest, PoisonedConnectionNeverKillsItsShardLoop)
+TEST_F(ChaosServeTest, PoisonedConnectionNeverKillsItsShardLoop)
 {
     const BundlePtr bundle = makeBundle();
-    ServeOptions opts;
-    opts.shards = 1;
-    auto server = makeEngine(opts);
+    auto server = newServer();
     server->deploy(bundle);
     server->start();
 
-    // Three bystanders sharing the poisoned connection's shard.
+    // Three bystanders connected beside the poisoned peer.
     std::vector<net::ServeClient> bystanders;
     for (int i = 0; i < 3; ++i)
         bystanders.push_back(
@@ -259,7 +249,7 @@ TEST_P(ChaosServeTest, PoisonedConnectionNeverKillsItsShardLoop)
     EXPECT_EQ(answer.errorKind, "serve.protocol");
     EXPECT_THROW((void)poisoned.readFrame(), ServeError);
 
-    // Every bystander on the same shard still gets exact answers.
+    // Every bystander still gets exact answers.
     for (net::ServeClient &client : bystanders) {
         const Vector got = client.predict(kX);
         const Vector want = bundle->predict(kX);
@@ -271,15 +261,13 @@ TEST_P(ChaosServeTest, PoisonedConnectionNeverKillsItsShardLoop)
     server->stop();
 }
 
-/** Same single-shard setup, but the poison is an injected decode
- *  fault instead of wire garbage. */
-TEST_P(ChaosServeTest, DecodePoisonLeavesShardServingBystanders)
+/** Same setup, but the poison is an injected decode fault instead of
+ *  wire garbage. */
+TEST_F(ChaosServeTest, DecodePoisonLeavesShardServingBystanders)
 {
     REQUIRE_LIBRARY_FAILPOINTS();
     const BundlePtr bundle = makeBundle();
-    ServeOptions opts;
-    opts.shards = 1;
-    auto server = makeEngine(opts);
+    auto server = newServer();
     server->deploy(bundle);
     server->start();
 
@@ -296,7 +284,7 @@ TEST_P(ChaosServeTest, DecodePoisonLeavesShardServingBystanders)
     EXPECT_EQ(fp::fires("serve.decode"), 1u);
     fp::reset();
 
-    // The bystander's shard loop survived its neighbour's fault.
+    // The bystander survived its neighbour's fault.
     const Vector probe{0.25, 0.5, -0.75};
     const Vector got = bystander.predict(probe);
     const Vector want = bundle->predict(probe);
@@ -306,13 +294,13 @@ TEST_P(ChaosServeTest, DecodePoisonLeavesShardServingBystanders)
     server->stop();
 }
 
-TEST_P(ChaosServeTest, MultiSiteChaosSweepNeverKillsTheServer)
+TEST_F(ChaosServeTest, MultiSiteChaosSweepNeverKillsTheServer)
 {
     REQUIRE_LIBRARY_FAILPOINTS();
     const BundlePtr bundle = makeBundle();
     ServeOptions opts;
     opts.cache.capacity = 128;
-    auto server = makeEngine(opts);
+    auto server = newServer(opts);
     server->deploy(bundle);
     server->start();
 
@@ -382,10 +370,3 @@ TEST_P(ChaosServeTest, MultiSiteChaosSweepNeverKillsTheServer)
     server->stop();
     EXPECT_FALSE(server->running());
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Engines, ChaosServeTest,
-    ::testing::Values(EngineKind::Threaded, EngineKind::Epoll),
-    [](const ::testing::TestParamInfo<EngineKind> &info) {
-        return std::string(wcnn::serve::engineName(info.param));
-    });

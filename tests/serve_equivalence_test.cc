@@ -1,25 +1,24 @@
 /**
  * @file
- * The serving equivalence gate: epoll engine vs threaded reference.
+ * The serving byte gate: the server's reply streams against an
+ * in-process oracle.
  *
- * The repo's discipline for fast paths is "admitted only through an
- * equivalence gate" (kernel_equivalence_test pins the SIMD kernels to
- * the reference kernels bit-for-bit). This suite is the serving
- * counterpart: the epoll EventServer earns its place by producing
- * BYTE-IDENTICAL response streams to the thread-per-connection
- * InferenceServer on the same scripted traffic — binary framing and
- * JSON lines, pipelined bursts under different TCP fragmentations,
- * typed per-request errors, wire garbage, connection-limit
- * rejections, and hot swap under load. Where hard byte-identity
+ * The repo's discipline for a serving path is "pinned to the bytes":
+ * each scripted client's whole response stream must equal the
+ * concatenation the protocol codec produces for the answers the
+ * bundle gives in process — encodeResponse(bundle->predict(x)),
+ * encodePong(), and the expected typed error frames — on binary
+ * framing and JSON lines, pipelined bursts under different TCP
+ * fragmentations, typed per-request errors, wire garbage and
+ * connection-limit rejections. Hot swap under load is pinned
+ * against the bundles it swaps between. Where hard byte-identity
  * would require fixing TCP segmentation itself (queue-overload
  * timing), the suite pins the ordering *semantics* instead: every
- * request gets an in-order typed outcome on both engines.
+ * request gets an in-order typed outcome.
  *
  * The scripted clients write raw protocol bytes, half-close, and
  * slurp the response stream to EOF — no client-library smarts hide a
- * server-side difference. Identical per-client streams across
- * engines (and across chunkings of the same frames) is the whole
- * assertion.
+ * server-side difference.
  */
 
 #include <gtest/gtest.h>
@@ -36,11 +35,11 @@
 #include "nn/mlp.hh"
 #include "numeric/rng.hh"
 #include "serve/bundle.hh"
-#include "serve/engine.hh"
 #include "serve/error.hh"
 #include "serve/net/client.hh"
 #include "serve/net/protocol.hh"
 #include "serve/net/socket.hh"
+#include "serve/server.hh"
 
 namespace net = wcnn::serve::net;
 
@@ -52,8 +51,7 @@ using wcnn::nn::Mlp;
 using wcnn::numeric::Rng;
 using wcnn::numeric::Vector;
 using wcnn::serve::BundlePtr;
-using wcnn::serve::EngineKind;
-using wcnn::serve::makeServer;
+using wcnn::serve::InferenceServer;
 using wcnn::serve::ModelBundle;
 using wcnn::serve::Overloaded;
 using wcnn::serve::ServeOptions;
@@ -61,9 +59,6 @@ using wcnn::serve::ServeOptions;
 namespace {
 
 constexpr const char *kHost = "127.0.0.1";
-
-const EngineKind kEngines[] = {EngineKind::Threaded,
-                               EngineKind::Epoll};
 
 BundlePtr
 makeBundle(std::uint64_t seed = 7)
@@ -114,18 +109,17 @@ splitChunks(const net::Bytes &all, std::size_t piece)
 }
 
 /**
- * Run every script concurrently against a fresh server of the given
- * engine: write the chunks, half-close, slurp the response stream to
- * EOF. Returns one raw byte stream per client.
+ * Run every script concurrently against a fresh server: write the
+ * chunks, half-close, slurp the response stream to EOF. Returns one
+ * raw byte stream per client.
  */
 std::vector<net::Bytes>
-runScripts(EngineKind kind, const ServeOptions &opts,
-           const BundlePtr &bundle,
+runScripts(const ServeOptions &opts, const BundlePtr &bundle,
            const std::vector<ClientScript> &scripts)
 {
-    auto server = makeServer(kind, opts);
-    server->deploy(bundle);
-    server->start();
+    InferenceServer server(opts);
+    server.deploy(bundle);
+    server.start();
 
     std::vector<net::Bytes> streams(scripts.size());
     std::vector<std::thread> threads;
@@ -133,7 +127,7 @@ runScripts(EngineKind kind, const ServeOptions &opts,
     for (std::size_t i = 0; i < scripts.size(); ++i) {
         threads.emplace_back([&, i] {
             net::TcpStream stream =
-                net::TcpStream::connect(kHost, server->port());
+                net::TcpStream::connect(kHost, server.port());
             for (const net::Bytes &chunk : scripts[i].chunks) {
                 stream.writeAll(chunk.data(), chunk.size());
                 if (scripts[i].interChunkDelayMs > 0)
@@ -151,27 +145,22 @@ runScripts(EngineKind kind, const ServeOptions &opts,
     }
     for (std::thread &t : threads)
         t.join();
-    server->stop();
+    server.stop();
     return streams;
 }
 
-/** Decode a raw response stream into frames (must parse cleanly). */
-std::vector<net::Frame>
-decodeStream(const net::Bytes &stream)
+/** Oracle reply of one request: the in-process prediction, framed. */
+net::Bytes
+expectedResponse(const BundlePtr &bundle, const Vector &x)
 {
-    std::vector<net::Frame> frames;
-    std::size_t off = 0;
-    while (off < stream.size()) {
-        const net::DecodeResult r =
-            net::tryDecode(stream.data() + off, stream.size() - off);
-        EXPECT_EQ(r.status, net::DecodeStatus::Frame)
-            << "undecodable response stream at offset " << off;
-        if (r.status != net::DecodeStatus::Frame)
-            break;
-        frames.push_back(r.frame);
-        off += r.consumed;
-    }
-    return frames;
+    return net::encodeResponse(bundle->predict(x));
+}
+
+/** Oracle JSON reply of one request. */
+net::Bytes
+expectedJsonResponse(const BundlePtr &bundle, const Vector &x)
+{
+    return fromString(net::formatJsonResponse(bundle->predict(x)));
 }
 
 } // namespace
@@ -186,12 +175,14 @@ TEST(ServeEquivalenceTest,
     // (every length prefix split across segments).
     Rng rng(101);
     net::Bytes all;
+    net::Bytes expected;
     std::vector<net::Bytes> perFrame;
     for (int i = 0; i < 8; ++i) {
         const Vector x{rng.uniform(-2, 2), rng.uniform(-2, 2),
                        rng.uniform(-2, 2)};
         perFrame.push_back(net::encodeRequest(x));
         append(all, perFrame.back());
+        append(expected, expectedResponse(bundle, x));
     }
     const std::vector<ClientScript> scripts = {
         ClientScript{perFrame, 1},
@@ -199,23 +190,12 @@ TEST(ServeEquivalenceTest,
         ClientScript{splitChunks(all, 7), 1},
     };
 
-    std::vector<net::Bytes> reference;
-    for (const EngineKind kind : kEngines) {
-        const std::vector<net::Bytes> streams =
-            runScripts(kind, ServeOptions{}, bundle, scripts);
-        // Chunking invariance within one engine: the response stream
-        // depends on the frames sent, never on TCP segmentation.
-        EXPECT_EQ(streams[0], streams[1])
-            << wcnn::serve::engineName(kind);
-        EXPECT_EQ(streams[0], streams[2])
-            << wcnn::serve::engineName(kind);
-        ASSERT_EQ(decodeStream(streams[0]).size(), 8u);
-        if (reference.empty())
-            reference = streams;
-        else
-            EXPECT_EQ(streams, reference)
-                << "epoll engine diverged from threaded reference";
-    }
+    // The response stream depends on the frames sent, never on TCP
+    // segmentation: every chunking yields the oracle bytes.
+    const std::vector<net::Bytes> streams =
+        runScripts(ServeOptions{}, bundle, scripts);
+    for (std::size_t i = 0; i < streams.size(); ++i)
+        EXPECT_EQ(streams[i], expected) << "chunking " << i;
 }
 
 TEST(ServeEquivalenceTest, MixedPingsAndRequestsKeepArrivalOrder)
@@ -232,28 +212,18 @@ TEST(ServeEquivalenceTest, MixedPingsAndRequestsKeepArrivalOrder)
     append(burst, net::encodePing());
     append(burst, net::encodeRequest(x2));
 
-    net::Bytes reference;
-    for (const EngineKind kind : kEngines) {
-        const std::vector<net::Bytes> streams = runScripts(
-            kind, ServeOptions{}, bundle, {ClientScript{{burst}, 0}});
-        const std::vector<net::Frame> frames =
-            decodeStream(streams[0]);
-        // Strict arrival order: a pong never overtakes the response
-        // of a request received before it.
-        ASSERT_EQ(frames.size(), 5u) << wcnn::serve::engineName(kind);
-        EXPECT_EQ(frames[0].type, net::FrameType::Response);
-        EXPECT_EQ(frames[1].type, net::FrameType::Pong);
-        EXPECT_EQ(frames[2].type, net::FrameType::Response);
-        EXPECT_EQ(frames[3].type, net::FrameType::Pong);
-        EXPECT_EQ(frames[4].type, net::FrameType::Response);
-        const Vector want0 = bundle->predict(x0);
-        for (std::size_t j = 0; j < want0.size(); ++j)
-            EXPECT_EQ(frames[0].values[j], want0[j]);
-        if (reference.empty())
-            reference = streams[0];
-        else
-            EXPECT_EQ(streams[0], reference);
-    }
+    // Strict arrival order: a pong never overtakes the response of a
+    // request received before it.
+    net::Bytes expected;
+    append(expected, expectedResponse(bundle, x0));
+    append(expected, net::encodePong());
+    append(expected, expectedResponse(bundle, x1));
+    append(expected, net::encodePong());
+    append(expected, expectedResponse(bundle, x2));
+
+    const std::vector<net::Bytes> streams =
+        runScripts(ServeOptions{}, bundle, {ClientScript{{burst}, 0}});
+    EXPECT_EQ(streams[0], expected);
 }
 
 TEST(ServeEquivalenceTest, TypedErrorsAndGarbageAreByteIdentical)
@@ -263,30 +233,29 @@ TEST(ServeEquivalenceTest, TypedErrorsAndGarbageAreByteIdentical)
     // good, wrong-arity, good, then wire garbage: the responses and
     // the bad-request error keep arrival order, the protocol error
     // for the garbage comes last, then the connection closes.
+    const Vector good0{1.0, 2.0, 3.0};
+    const Vector good1{6.0, 7.0, 8.0};
+    const net::Bytes garbage = fromString("zz"); // not a frame
     net::Bytes burst;
-    append(burst, net::encodeRequest({1.0, 2.0, 3.0}));
+    append(burst, net::encodeRequest(good0));
     append(burst, net::encodeRequest({4.0, 5.0})); // arity 2 != 3
-    append(burst, net::encodeRequest({6.0, 7.0, 8.0}));
-    append(burst, fromString("zz")); // not a frame
+    append(burst, net::encodeRequest(good1));
+    append(burst, garbage);
 
-    net::Bytes reference;
-    for (const EngineKind kind : kEngines) {
-        const std::vector<net::Bytes> streams = runScripts(
-            kind, ServeOptions{}, bundle, {ClientScript{{burst}, 0}});
-        const std::vector<net::Frame> frames =
-            decodeStream(streams[0]);
-        ASSERT_EQ(frames.size(), 4u) << wcnn::serve::engineName(kind);
-        EXPECT_EQ(frames[0].type, net::FrameType::Response);
-        EXPECT_EQ(frames[1].type, net::FrameType::Error);
-        EXPECT_EQ(frames[1].errorKind, "serve.bad_request");
-        EXPECT_EQ(frames[2].type, net::FrameType::Response);
-        EXPECT_EQ(frames[3].type, net::FrameType::Error);
-        EXPECT_EQ(frames[3].errorKind, "serve.protocol");
-        if (reference.empty())
-            reference = streams[0];
-        else
-            EXPECT_EQ(streams[0], reference);
-    }
+    const net::DecodeResult bad =
+        net::tryDecode(garbage.data(), garbage.size());
+    ASSERT_EQ(bad.status, net::DecodeStatus::Malformed);
+    net::Bytes expected;
+    append(expected, expectedResponse(bundle, good0));
+    append(expected,
+           net::encodeError("serve.bad_request",
+                            "request has 2 inputs, bundle expects 3"));
+    append(expected, expectedResponse(bundle, good1));
+    append(expected, net::encodeError("serve.protocol", bad.error));
+
+    const std::vector<net::Bytes> streams =
+        runScripts(ServeOptions{}, bundle, {ClientScript{{burst}, 0}});
+    EXPECT_EQ(streams[0], expected);
 }
 
 TEST(ServeEquivalenceTest, JsonLinesModeIsByteIdentical)
@@ -302,37 +271,44 @@ TEST(ServeEquivalenceTest, JsonLinesModeIsByteIdentical)
     append(lines0, fromString("{\"op\":\"predict\",\"x\":[1.0]}\n"));
     append(lines0,
            fromString("{\"op\":\"predict\",\"x\":[2.0,0.25,-0.5]}\n"));
+    net::Bytes expected0;
+    append(expected0, expectedJsonResponse(bundle, {0.5, -1.0, 1.5}));
+    append(expected0, fromString(net::formatJsonPong()));
+    append(expected0,
+           fromString(net::formatJsonError(
+               "serve.bad_request",
+               "request has 1 inputs, bundle expects 3")));
+    append(expected0, expectedJsonResponse(bundle, {2.0, 0.25, -0.5}));
 
     // Client 1: one good line, then a line with an embedded NUL — a
     // protocol error that closes the connection.
     std::string nul_line = "{\"op\":\"predict\",";
     nul_line += '\0';
-    nul_line += "\"x\":[1,2,3]}\n";
+    nul_line += "\"x\":[1,2,3]}";
     net::Bytes lines1;
     append(lines1,
            fromString("{\"op\":\"predict\",\"x\":[1.0,1.0,1.0]}\n"));
-    append(lines1, fromString(nul_line));
+    append(lines1, fromString(nul_line + "\n"));
+    std::string nul_error;
+    try {
+        (void)net::parseJsonLine(nul_line);
+    } catch (const wcnn::serve::ProtocolError &error) {
+        nul_error = net::formatJsonError(
+            error.kind(), wcnn::serve::bareErrorMessage(error));
+    }
+    ASSERT_FALSE(nul_error.empty()) << "NUL line must not parse";
+    net::Bytes expected1;
+    append(expected1, expectedJsonResponse(bundle, {1.0, 1.0, 1.0}));
+    append(expected1, fromString(nul_error));
 
     const std::vector<ClientScript> scripts = {
         ClientScript{splitChunks(lines0, 11), 1}, // shredded lines
         ClientScript{{lines1}, 0},
     };
-
-    std::vector<net::Bytes> reference;
-    for (const EngineKind kind : kEngines) {
-        const std::vector<net::Bytes> streams =
-            runScripts(kind, ServeOptions{}, bundle, scripts);
-        const std::string s0(streams[0].begin(), streams[0].end());
-        EXPECT_NE(s0.find("\"pong\":true"), std::string::npos)
-            << wcnn::serve::engineName(kind);
-        EXPECT_NE(s0.find("serve.bad_request"), std::string::npos);
-        const std::string s1(streams[1].begin(), streams[1].end());
-        EXPECT_NE(s1.find("serve.protocol"), std::string::npos);
-        if (reference.empty())
-            reference = streams;
-        else
-            EXPECT_EQ(streams, reference);
-    }
+    const std::vector<net::Bytes> streams =
+        runScripts(ServeOptions{}, bundle, scripts);
+    EXPECT_EQ(streams[0], expected0);
+    EXPECT_EQ(streams[1], expected1);
 }
 
 TEST(ServeEquivalenceTest, ConnectionLimitRejectionIsByteIdentical)
@@ -340,40 +316,29 @@ TEST(ServeEquivalenceTest, ConnectionLimitRejectionIsByteIdentical)
     const BundlePtr bundle = makeBundle();
     ServeOptions opts;
     opts.maxConnections = 1;
+    InferenceServer server(opts);
+    server.deploy(bundle);
+    server.start();
 
-    net::Bytes reference;
-    for (const EngineKind kind : kEngines) {
-        auto server = makeServer(kind, opts);
-        server->deploy(bundle);
-        server->start();
+    // Occupy the single slot, with a round trip to guarantee the
+    // connection is fully registered.
+    net::ServeClient occupant =
+        net::ServeClient::connect(kHost, server.port());
+    (void)occupant.predict({1.0, 2.0, 3.0});
 
-        // Occupy the single slot, with a round trip to guarantee the
-        // connection is fully registered on both engines.
-        net::ServeClient occupant =
-            net::ServeClient::connect(kHost, server->port());
-        (void)occupant.predict({1.0, 2.0, 3.0});
+    // The surplus connection gets the typed rejection, then EOF.
+    net::TcpStream surplus = net::TcpStream::connect(kHost, server.port());
+    net::Bytes stream;
+    std::uint8_t buf[4096];
+    std::size_t n = 0;
+    while (surplus.readSome(buf, sizeof(buf), n, 10000) ==
+           net::ReadStatus::Data)
+        stream.insert(stream.end(), buf, buf + n);
 
-        // The surplus connection gets the typed rejection, then EOF.
-        net::TcpStream surplus =
-            net::TcpStream::connect(kHost, server->port());
-        net::Bytes stream;
-        std::uint8_t buf[4096];
-        std::size_t n = 0;
-        while (surplus.readSome(buf, sizeof(buf), n, 10000) ==
-               net::ReadStatus::Data)
-            stream.insert(stream.end(), buf, buf + n);
-
-        const std::vector<net::Frame> frames = decodeStream(stream);
-        ASSERT_EQ(frames.size(), 1u) << wcnn::serve::engineName(kind);
-        EXPECT_EQ(frames[0].type, net::FrameType::Error);
-        EXPECT_EQ(frames[0].errorKind, "serve.overloaded");
-        EXPECT_EQ(server->stats().rejectedConnections, 1u);
-        if (reference.empty())
-            reference = stream;
-        else
-            EXPECT_EQ(stream, reference);
-        server->stop();
-    }
+    EXPECT_EQ(stream, net::encodeError("serve.overloaded",
+                                       "connection limit of 1 reached"));
+    EXPECT_EQ(server.stats().rejectedConnections, 1u);
+    server.stop();
 }
 
 TEST(ServeEquivalenceTest, HotSwapUnderLoadIsIdenticalOnBothEngines)
@@ -389,72 +354,56 @@ TEST(ServeEquivalenceTest, HotSwapUnderLoadIsIdenticalOnBothEngines)
         xs.push_back({rng.uniform(-2, 2), rng.uniform(-2, 2),
                       rng.uniform(-2, 2)});
 
-    for (const EngineKind kind : kEngines) {
-        auto server = makeServer(kind, ServeOptions{});
-        server->deploy(bundleA);
-        server->start();
+    InferenceServer server;
+    server.deploy(bundleA);
+    server.start();
 
-        // A churn client pipelines throughout the swap: every answer
-        // must be bit-exact under SOME deployed bundle, and once B
-        // appears, A never comes back (monotone transition).
-        std::atomic<bool> churn_stop{false};
-        std::string churn_failure;
-        const Vector churn_x{0.125, -0.25, 0.5};
-        std::thread churn([&] {
-            const Vector wantA = bundleA->predict(churn_x);
-            const Vector wantB = bundleB->predict(churn_x);
-            bool saw_b = false;
-            try {
-                net::ServeClient client =
-                    net::ServeClient::connect(kHost, server->port());
-                while (!churn_stop.load()) {
-                    const Vector got = client.predict(churn_x);
-                    const bool is_a = got == wantA;
-                    const bool is_b = got == wantB;
-                    if (!is_a && !is_b) {
-                        churn_failure = "answer under no bundle";
-                        return;
-                    }
-                    if (is_b)
-                        saw_b = true;
-                    else if (saw_b && is_a) {
-                        churn_failure = "bundle A after bundle B";
-                        return;
-                    }
+    // A churn client pipelines throughout the swap: every answer must
+    // be bit-exact under SOME deployed bundle, and once B appears, A
+    // never comes back (monotone transition).
+    std::atomic<bool> churn_stop{false};
+    std::string churn_failure;
+    const Vector churn_x{0.125, -0.25, 0.5};
+    std::thread churn([&] {
+        const Vector wantA = bundleA->predict(churn_x);
+        const Vector wantB = bundleB->predict(churn_x);
+        bool saw_b = false;
+        try {
+            net::ServeClient client =
+                net::ServeClient::connect(kHost, server.port());
+            while (!churn_stop.load()) {
+                const Vector got = client.predict(churn_x);
+                const bool is_a = got == wantA;
+                const bool is_b = got == wantB;
+                if (!is_a && !is_b) {
+                    churn_failure = "answer under no bundle";
+                    return;
                 }
-            } catch (const wcnn::Error &e) {
-                churn_failure = e.what();
+                if (is_b)
+                    saw_b = true;
+                else if (saw_b && is_a) {
+                    churn_failure = "bundle A after bundle B";
+                    return;
+                }
             }
-        });
-
-        net::ServeClient client =
-            net::ServeClient::connect(kHost, server->port());
-        for (const Vector &x : xs) {
-            const Vector got = client.predict(x);
-            const Vector want = bundleA->predict(x);
-            ASSERT_EQ(got.size(), want.size());
-            for (std::size_t j = 0; j < want.size(); ++j)
-                EXPECT_EQ(got[j], want[j])
-                    << wcnn::serve::engineName(kind) << " phase A";
+        } catch (const wcnn::Error &e) {
+            churn_failure = e.what();
         }
+    });
 
-        server->deploy(bundleB);
+    net::ServeClient client = net::ServeClient::connect(kHost, server.port());
+    for (const Vector &x : xs)
+        EXPECT_EQ(client.predict(x), bundleA->predict(x)) << "phase A";
 
-        for (const Vector &x : xs) {
-            const Vector got = client.predict(x);
-            const Vector want = bundleB->predict(x);
-            ASSERT_EQ(got.size(), want.size());
-            for (std::size_t j = 0; j < want.size(); ++j)
-                EXPECT_EQ(got[j], want[j])
-                    << wcnn::serve::engineName(kind) << " phase B";
-        }
+    server.deploy(bundleB);
 
-        churn_stop.store(true);
-        churn.join();
-        EXPECT_EQ(churn_failure, "")
-            << wcnn::serve::engineName(kind);
-        server->stop();
-    }
+    for (const Vector &x : xs)
+        EXPECT_EQ(client.predict(x), bundleB->predict(x)) << "phase B";
+
+    churn_stop.store(true);
+    churn.join();
+    EXPECT_EQ(churn_failure, "");
+    server.stop();
 }
 
 TEST(ServeEquivalenceTest, QueueOverloadKeepsOrderingSemantics)
@@ -464,7 +413,7 @@ TEST(ServeEquivalenceTest, QueueOverloadKeepsOrderingSemantics)
     // group). The pinned contract is the ordering SEMANTICS: every
     // pipelined request gets an in-order outcome — a bit-exact
     // response or a typed serve.overloaded error — and a queue this
-    // small must overload on both engines.
+    // small must overload.
     const BundlePtr bundle = makeBundle();
     ServeOptions opts;
     opts.cache.capacity = 0; // misses only: every request queues
@@ -478,36 +427,28 @@ TEST(ServeEquivalenceTest, QueueOverloadKeepsOrderingSemantics)
         xs.push_back({rng.uniform(-2, 2), rng.uniform(-2, 2),
                       rng.uniform(-2, 2)});
 
-    for (const EngineKind kind : kEngines) {
-        auto server = makeServer(kind, opts);
-        server->deploy(bundle);
-        server->start();
+    InferenceServer server(opts);
+    server.deploy(bundle);
+    server.start();
 
-        net::ServeClient client =
-            net::ServeClient::connect(kHost, server->port(), 30000);
-        for (const Vector &x : xs)
-            client.sendPredict(x);
+    net::ServeClient client =
+        net::ServeClient::connect(kHost, server.port(), 30000);
+    for (const Vector &x : xs)
+        client.sendPredict(x);
 
-        int overloaded = 0;
-        int exact = 0;
-        for (const Vector &x : xs) {
-            try {
-                const Vector got = client.readPrediction();
-                const Vector want = bundle->predict(x);
-                ASSERT_EQ(got.size(), want.size());
-                for (std::size_t j = 0; j < want.size(); ++j)
-                    EXPECT_EQ(got[j], want[j])
-                        << wcnn::serve::engineName(kind);
-                ++exact;
-            } catch (const Overloaded &) {
-                ++overloaded;
-            }
+    int overloaded = 0;
+    int exact = 0;
+    for (const Vector &x : xs) {
+        try {
+            EXPECT_EQ(client.readPrediction(), bundle->predict(x));
+            ++exact;
+        } catch (const Overloaded &) {
+            ++overloaded;
         }
-        // Every request answered in order, and the 16-request burst
-        // cannot fit a 2-row queue: overload must have fired.
-        EXPECT_EQ(exact + overloaded, 16)
-            << wcnn::serve::engineName(kind);
-        EXPECT_GE(overloaded, 1) << wcnn::serve::engineName(kind);
-        server->stop();
     }
+    // Every request answered in order, and the 16-request burst
+    // cannot fit a 2-row queue: overload must have fired.
+    EXPECT_EQ(exact + overloaded, 16);
+    EXPECT_GE(overloaded, 1);
+    server.stop();
 }

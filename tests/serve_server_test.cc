@@ -547,67 +547,3 @@ TEST(ServeServerTest, FaultedSinkDropsRecordButStillAcks)
     EXPECT_EQ(s.droppedObservations, 1u);
     EXPECT_EQ(s.errors, 0u);
 }
-
-TEST(ServeServerTest, MultiAcceptorServesEveryClientExactly)
-{
-    // SO_REUSEPORT fan-in: 4 accept loops share the port on the epoll
-    // engine; every client still gets bit-exact answers regardless of
-    // which listener the kernel hands it to.
-    const BundlePtr bundle = makeBundle(6, 2);
-    ServeOptions opts;
-    opts.acceptors = 4;
-    opts.shards = 2;
-    auto server =
-        wcnn::serve::makeServer(wcnn::serve::EngineKind::Epoll, opts);
-    server->deploy(bundle);
-    server->start();
-
-    constexpr int kClients = 12;
-    constexpr int kRequests = 20;
-    std::vector<std::thread> threads;
-    std::atomic<int> failures{0};
-    for (int c = 0; c < kClients; ++c) {
-        threads.emplace_back([&, c] {
-            try {
-                net::ServeClient client =
-                    net::ServeClient::connect(kHost, server->port());
-                Rng rng(1000 + static_cast<std::uint64_t>(c));
-                for (int i = 0; i < kRequests; ++i) {
-                    const Vector x{rng.uniform(-1, 1),
-                                   rng.uniform(-1, 1)};
-                    const Vector want = bundle->predict(x);
-                    const Vector got = client.predict(x);
-                    if (got != want)
-                        failures.fetch_add(1);
-                }
-            } catch (const std::exception &) {
-                failures.fetch_add(1);
-            }
-        });
-    }
-    for (std::thread &t : threads)
-        t.join();
-    server->stop();
-    EXPECT_EQ(failures.load(), 0);
-    EXPECT_EQ(server->stats().accepted,
-              static_cast<std::uint64_t>(kClients));
-    EXPECT_EQ(server->stats().requests,
-              static_cast<std::uint64_t>(kClients * kRequests));
-}
-
-TEST(ServeServerTest, SingleAcceptorDefaultBehavesAsBefore)
-{
-    // acceptors=1 must not set SO_REUSEPORT or change observable
-    // behaviour: one listener, same accept/stop semantics.
-    ServeOptions opts;
-    opts.acceptors = 1;
-    auto server =
-        wcnn::serve::makeServer(wcnn::serve::EngineKind::Epoll, opts);
-    server->deploy(makeBundle());
-    server->start();
-    net::ServeClient client =
-        net::ServeClient::connect(kHost, server->port());
-    EXPECT_EQ(client.predict({1.0, 2.0, 3.0}).size(), 2u);
-    server->stop();
-    EXPECT_FALSE(server->running());
-}

@@ -33,6 +33,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -56,8 +57,8 @@
 #include "numeric/rng.hh"
 #include "scenario/library.hh"
 #include "serve/bundle.hh"
-#include "serve/engine.hh"
 #include "serve/loadgen.hh"
+#include "serve/server.hh"
 #include "sim/sample_space.hh"
 
 namespace {
@@ -96,6 +97,7 @@ class Args
                 std::exit(2);
             }
             key = key.substr(2);
+            given.push_back(key);
             if (i + 1 < argc &&
                 std::string(argv[i + 1]).rfind("--", 0) != 0) {
                 values[key] = argv[++i];
@@ -107,12 +109,14 @@ class Args
 
     bool has(const std::string &key) const
     {
+        asked.insert(key);
         return values.count(key) > 0;
     }
 
     std::string
     str(const std::string &key, const std::string &fallback) const
     {
+        asked.insert(key);
         const auto it = values.find(key);
         return it == values.end() ? fallback : it->second;
     }
@@ -120,13 +124,36 @@ class Args
     double
     num(const std::string &key, double fallback) const
     {
+        asked.insert(key);
         const auto it = values.find(key);
         return it == values.end() ? fallback
                                   : parseNumber(it->second, "--" + key);
     }
 
+    /**
+     * Exit 2 naming the first given flag that no has/str/num call
+     * asked for, so a misspelt or unsupported flag is refused rather
+     * than silently ignored. Call after every flag the command reads
+     * has been read.
+     */
+    void
+    rejectUnread(const char *cmd) const
+    {
+        for (const std::string &key : given) {
+            if (asked.count(key) == 0) {
+                std::fprintf(stderr, "%s: flag --%s is not read by "
+                             "this command\n", cmd, key.c_str());
+                std::exit(2);
+            }
+        }
+    }
+
   private:
     std::map<std::string, std::string> values;
+    /** Flag keys in command-line order. */
+    std::vector<std::string> given;
+    /** Keys some has/str/num call asked for (see rejectUnread). */
+    mutable std::set<std::string> asked;
 };
 
 /** Parse "a,b,c,d" into a vector; @p what names the source. */
@@ -591,10 +618,6 @@ serveOptionsFromArgs(const Args &args)
         "threads", static_cast<double>(opts.batch.threads)));
     opts.cache.capacity = static_cast<std::size_t>(args.num(
         "cache", static_cast<double>(opts.cache.capacity)));
-    opts.shards = static_cast<std::size_t>(
-        args.num("shards", static_cast<double>(opts.shards)));
-    opts.acceptors = static_cast<std::size_t>(
-        args.num("acceptors", static_cast<double>(opts.acceptors)));
     return opts;
 }
 
@@ -633,8 +656,6 @@ cmdServe(const Args &args)
     if (args.has("help")) {
         std::puts(
             "wcnn serve --model MODEL.bundle [--port P] [--host H]\n"
-            "           [--engine threaded|epoll] [--shards N] "
-            "[--acceptors N]\n"
             "           [--max-batch N] [--max-delay-us U] "
             "[--threads N]\n"
             "           [--cache N] [--max-conn N] [--idle-ms MS]\n"
@@ -643,14 +664,8 @@ cmdServe(const Args &args)
             "[lifecycle knobs]\n"
             "\n"
             "Serves predictions over TCP (binary frames or JSON "
-            "lines on one port).\n"
-            "--engine picks the front end: the threaded reference "
-            "server or the\n"
-            "epoll reactor with per-core shards (identical wire "
-            "behaviour; see\n"
-            "tests/serve_equivalence_test.cc). --acceptors > 1 runs "
-            "that many\n"
-            "SO_REUSEPORT accept loops (epoll engine only).\n"
+            "lines on one port),\n"
+            "one thread per connection.\n"
             "--lifecycle attaches the model-lifecycle controller to "
             "the observation\n"
             "stream: drift detection, shadow retraining and gated "
@@ -668,7 +683,19 @@ cmdServe(const Args &args)
             "bundle.");
         return 0;
     }
+    // Read every flag before anything binds, so a flag serve does not
+    // read (a typo, or a knob that only applies elsewhere) is refused.
     const std::string model_path = args.str("model", "");
+    const double duration = args.num("duration", 0.0);
+    const bool with_lifecycle = args.has("lifecycle");
+    lifecycle::LifecycleOptions lifecycle_opts;
+    std::string journal_path;
+    if (with_lifecycle) {
+        lifecycle_opts = lifecycleOptionsFromArgs(args);
+        journal_path = args.str("journal", "");
+    }
+    serve::ServeOptions serve_opts = serveOptionsFromArgs(args);
+    args.rejectUnread("serve");
     if (model_path.empty()) {
         std::fputs("serve: --model is required\n", stderr);
         return 2;
@@ -676,11 +703,7 @@ cmdServe(const Args &args)
     auto bundle = std::make_shared<serve::ModelBundle>(
         loadBundle("serve", model_path));
 
-    const serve::EngineKind engine =
-        serve::parseEngineKind(args.str("engine", "threaded"));
-    const std::unique_ptr<serve::ServerEngine> server_ptr =
-        serve::makeServer(engine, serveOptionsFromArgs(args));
-    serve::ServerEngine &server = *server_ptr;
+    serve::InferenceServer server(std::move(serve_opts));
     server.deploy(bundle);
 
     // --lifecycle: hang the controller off the observation sink so
@@ -691,11 +714,10 @@ cmdServe(const Args &args)
     std::unique_ptr<lifecycle::EngineHost> host;
     std::unique_ptr<lifecycle::LifecycleController> controller;
     std::unique_ptr<lifecycle::JournalWriter> journal;
-    if (args.has("lifecycle")) {
+    if (with_lifecycle) {
         host = std::make_unique<lifecycle::EngineHost>(server);
         controller = std::make_unique<lifecycle::LifecycleController>(
-            *host, lifecycleOptionsFromArgs(args));
-        const std::string journal_path = args.str("journal", "");
+            *host, lifecycle_opts);
         if (!journal_path.empty())
             journal = std::make_unique<lifecycle::JournalWriter>(
                 journal_path, bundle->inputDim(), bundle->outputDim());
@@ -714,16 +736,14 @@ cmdServe(const Args &args)
     }
 
     server.start();
-    std::printf("serving %s on %s:%u (engine %s, max-batch %zu, "
-                "cache %zu)\n",
+    std::printf("serving %s on %s:%u (engine threaded, "
+                "max-batch %zu, cache %zu)\n",
                 bundle->describe().c_str(),
                 server.options().host.c_str(), server.port(),
-                serve::engineName(engine),
                 server.options().batch.maxBatch,
                 server.options().cache.capacity);
     std::fflush(stdout);
 
-    const double duration = args.num("duration", 0.0);
     if (duration > 0.0) {
         std::this_thread::sleep_for(
             std::chrono::duration<double>(duration));
@@ -784,7 +804,7 @@ cmdBenchServe(const Args &args)
             "[--requests N]\n"
             "                 [--pipeline N] [--max-batch N] "
             "[--cache N] [--key-pool N]\n"
-            "                 [--engine threaded|epoll]\n"
+            "                 [--seed N]\n"
             "\n"
             "Measures TCP serving throughput: per-request baseline "
             "vs micro-batched,\n"
@@ -792,12 +812,6 @@ cmdBenchServe(const Args &args)
         return 0;
     }
     const std::string model_path = args.str("model", "");
-    if (model_path.empty()) {
-        std::fputs("bench-serve: --model is required\n", stderr);
-        return 2;
-    }
-    auto bundle = std::make_shared<serve::ModelBundle>(
-        loadBundle("bench-serve", model_path));
 
     serve::LoadgenOptions load;
     load.clients = static_cast<std::size_t>(args.num("clients", 8));
@@ -810,24 +824,29 @@ cmdBenchServe(const Args &args)
         static_cast<std::size_t>(args.num("max-batch", 64));
     const auto cache_capacity =
         static_cast<std::size_t>(args.num("cache", 0));
+    const auto key_pool =
+        static_cast<std::size_t>(args.num("key-pool", 64));
+    args.rejectUnread("bench-serve");
+    if (model_path.empty()) {
+        std::fputs("bench-serve: --model is required\n", stderr);
+        return 2;
+    }
+    auto bundle = std::make_shared<serve::ModelBundle>(
+        loadBundle("bench-serve", model_path));
 
-    const serve::EngineKind engine =
-        serve::parseEngineKind(args.str("engine", "threaded"));
     const auto run = [&](const char *label, std::size_t batch_rows,
                          bool coalesce, std::size_t cache_cap,
-                         std::size_t key_pool) {
+                         std::size_t pool) {
         serve::ServeOptions opts;
         opts.maxConnections = load.clients + 4;
         opts.batch.maxBatch = batch_rows;
         opts.coalesceFrames = coalesce;
         opts.cache.capacity = cache_cap;
-        const std::unique_ptr<serve::ServerEngine> server_ptr =
-            serve::makeServer(engine, std::move(opts));
-        serve::ServerEngine &server = *server_ptr;
+        serve::InferenceServer server(std::move(opts));
         server.deploy(bundle);
         server.start();
         serve::LoadgenOptions shaped = load;
-        shaped.keyPoolSize = key_pool;
+        shaped.keyPoolSize = pool;
         const serve::LoadgenReport report = serve::runTcpLoad(
             "127.0.0.1", server.port(), bundle->inputDim(), shaped);
         server.stop();
@@ -839,18 +858,15 @@ cmdBenchServe(const Args &args)
         return report;
     };
 
-    std::printf("bench-serve: engine %s, %zu clients x %zu requests, "
+    std::printf("bench-serve: %zu clients x %zu requests, "
                 "pipeline %zu\n",
-                serve::engineName(engine), load.clients,
-                load.requestsPerClient, load.pipeline);
+                load.clients, load.requestsPerClient, load.pipeline);
     const auto baseline = run("per-request", 1, false, 0, 0);
     const auto batched = run("micro-batched", max_batch, true, 0, 0);
     if (baseline.throughputRps > 0.0)
         std::printf("micro-batching speedup: %.2fx\n",
                     batched.throughputRps / baseline.throughputRps);
     if (cache_capacity > 0) {
-        const auto key_pool = static_cast<std::size_t>(
-            args.num("key-pool", 64));
         const auto cached = run("cached", max_batch, true,
                                 cache_capacity, key_pool);
         if (batched.throughputRps > 0.0)

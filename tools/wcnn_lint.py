@@ -39,12 +39,12 @@ Rules:
       hide chaos-injected faults from the quarantine bookkeeping.
   R7  No POSIX socket headers or socket syscalls outside
       src/serve/net/ — and no epoll/eventfd either. All transport goes
-      through TcpStream/TcpListener (and ServeClient above them), all
-      event multiplexing through the Reactor: one place owns fd
-      lifetimes, EINTR/EOF handling, and timeouts, and the serve
-      failpoint sites actually cover every byte on the wire. A stray
-      recv() or epoll_wait() elsewhere is invisible to the chaos
-      harness.
+      through TcpStream/TcpListener (and ServeClient above them): one
+      place owns fd lifetimes, EINTR/EOF handling, and timeouts, and
+      the serve failpoint sites actually cover every byte on the wire.
+      The server is one blocking thread per connection and has no
+      event loop; an epoll loop or a stray recv() elsewhere would be a
+      second transport the chaos harness does not see.
   R8  Hand-rolled compute kernels live in src/numeric/kernels/ only.
       Outside that directory, no SIMD intrinsics (<immintrin.h> and
       friends, _mm*/__m128-style identifiers), no `#pragma omp`, and —
@@ -108,8 +108,9 @@ SOCKET_HEADER_RE = re.compile(
 # Bare POSIX socket / event-multiplexing calls. The lookbehind drops
 # member calls (x.accept(, p->listen() and qualified names;
 # bind/connect are deliberately not listed (std::bind,
-# TcpStream::connect). epoll/eventfd ride along: event readiness is
-# the Reactor's job, and the Reactor lives in src/serve/net/.
+# TcpStream::connect). epoll/eventfd ride along: the server has no
+# event loop, and one written outside src/serve/net/ would bypass the
+# transport the failpoint sites cover.
 SOCKET_CALL_RE = re.compile(
     r"(?<![\w:.>])(?:socket|accept4?|listen|recv|recvfrom|send|sendto"
     r"|setsockopt|getsockname|inet_pton|inet_ntop"
