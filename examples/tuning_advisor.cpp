@@ -1,7 +1,7 @@
 /**
  * @file
  * Performance-tuning advisor: the paper's section-5 analysis as a
- * tool. Fits (or reuses) the workload surrogate, sweeps the
+ * tool. Loads (or fits) the workload surrogate, sweeps the
  * (default queue, web queue) plane at the paper's slice, classifies
  * every indicator's surface into parallel-slopes / valley / hill, and
  * recommends the best configurations under a scoring function that
@@ -9,19 +9,22 @@
  * constraint violations.
  *
  * Run: ./build/examples/tuning_advisor [--fast]
- *   Reuses workload_samples.csv from characterize_3tier when present;
- *   otherwise collects a fresh sample set (--fast: analytic source).
+ *   Reuses workload_samples.csv and workload_model.bundle from
+ *   characterize_3tier when present; otherwise collects a fresh sample
+ *   set (--fast: analytic source) and fits the surrogate to it.
  */
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 
 #include "data/csv.hh"
 #include "model/classify.hh"
 #include "model/recommender.hh"
 #include "model/study.hh"
 #include "model/surface.hh"
+#include "serve/bundle.hh"
 
 int
 main(int argc, char **argv)
@@ -47,15 +50,22 @@ main(int argc, char **argv)
         samples = model::runStudy(opts).dataset;
     }
 
-    model::NnModel surrogate;
-    if (std::ifstream("workload_model.txt.nn").good()) {
-        surrogate = model::NnModel::load("workload_model.txt.nn");
-        std::printf("loaded surrogate from workload_model.txt.nn\n");
+    // Everything below scores through PerformanceModel, so it runs on
+    // the study's bundle or on a fresh fit alike.
+    std::unique_ptr<model::PerformanceModel> surrogate;
+    if (std::ifstream("workload_model.bundle").good()) {
+        auto bundle = std::make_unique<serve::ModelBundle>(
+            serve::ModelBundle::load("workload_model.bundle"));
+        std::printf("loaded surrogate from workload_model.bundle: %s\n",
+                    bundle->describe().c_str());
+        surrogate = std::move(bundle);
     } else {
-        surrogate.fit(samples);
+        auto fitted = std::make_unique<model::NnModel>();
+        fitted->fit(samples);
+        std::printf("fitted surrogate: %s\n",
+                    fitted->network().describe().c_str());
+        surrogate = std::move(fitted);
     }
-    std::printf("surrogate: %s\n",
-                surrogate.network().describe().c_str());
 
     // Surface analysis at the paper's slice (560, x, 16, y).
     std::printf("\n-- surface taxonomy at (560, x, 16, y) --\n");
@@ -71,7 +81,7 @@ main(int argc, char **argv)
         req.hiB = 20.0;
         req.pointsA = 11;
         req.pointsB = 7;
-        const auto grid = model::sweepSurface(surrogate, req, samples);
+        const auto grid = model::sweepSurface(*surrogate, req, samples);
         const auto analysis = model::classifySurface(grid);
         std::printf("%-22s %s\n",
                     samples.outputs()[ind].c_str(),
@@ -90,7 +100,7 @@ main(int argc, char **argv)
     score.goals[3].limit = 1.5;
 
     model::Recommender rec(
-        surrogate, {model::SearchAxis{560, 560, 1},
+        *surrogate, {model::SearchAxis{560, 560, 1},
                     model::SearchAxis{0, 20, 21},
                     model::SearchAxis{12, 24, 13},
                     model::SearchAxis{14, 20, 7}});

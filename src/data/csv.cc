@@ -99,10 +99,14 @@ csvDigest(const Dataset &ds)
 void
 saveCsv(const Dataset &ds, const std::string &path)
 {
+    // Format before opening (which truncates): a refused write leaves
+    // whatever file is already at path as it was.
+    std::ostringstream text;
+    writeCsv(ds, text);
     std::ofstream os(path);
     if (!os)
         throw CsvError("cannot open for writing: " + path);
-    writeCsv(ds, os);
+    os << std::move(text).str();
     if (!os)
         throw CsvError("write failed: " + path);
 }

@@ -47,11 +47,14 @@ class CsvError : public IoError
 void writeCsv(const Dataset &ds, std::ostream &os);
 
 /**
- * Serialize a dataset to a file.
+ * Serialize a dataset to a file. The text is formatted in memory
+ * first, so a refused write leaves an existing file at @p path
+ * unchanged.
  *
  * @param ds   Dataset to write.
  * @param path Destination file path.
- * @throws CsvError if the file cannot be opened.
+ * @throws CsvError if the write is refused or the file cannot be
+ *         opened.
  */
 void saveCsv(const Dataset &ds, const std::string &path);
 

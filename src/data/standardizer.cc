@@ -83,17 +83,5 @@ Standardizer::inverse(const numeric::Vector &z) const
     return x;
 }
 
-numeric::Matrix
-Standardizer::inverse(const numeric::Matrix &zs) const
-{
-    WCNN_REQUIRE(zs.cols() == dim(), "inverse input has ", zs.cols(),
-                 " columns, standardizer was fit on ", dim());
-    numeric::Matrix out(zs.rows(), zs.cols());
-    numeric::kernels::destandardizeRows(zs.data().data(), out.data().data(),
-                                        zs.rows(), dim(), mu.data(),
-                                        sigma.data());
-    return out;
-}
-
 } // namespace data
 } // namespace wcnn

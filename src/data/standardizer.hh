@@ -86,12 +86,6 @@ class Standardizer
      */
     numeric::Vector inverse(const numeric::Vector &z) const;
 
-    /**
-     * Undo the transform row-wise in one kernels::destandardizeRows
-     * pass; bit-identical to inverse(Vector) per row.
-     */
-    numeric::Matrix inverse(const numeric::Matrix &zs) const;
-
     /** Fitted per-feature means. */
     const numeric::Vector &means() const { return mu; }
     /** Fitted per-feature standard deviations (1 for constants). */

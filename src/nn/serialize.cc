@@ -1,9 +1,9 @@
 #include "serialize.hh"
 
 #include <cmath>
-#include <fstream>
 #include <iomanip>
-#include <sstream>
+#include <istream>
+#include <ostream>
 
 #include "core/failpoint.hh"
 
@@ -154,58 +154,6 @@ Serializer::read(std::istream &is)
         fan_in = net.specs[l].units;
     }
     return net;
-}
-
-void
-Serializer::save(const Mlp &net, const std::string &path)
-{
-    std::ofstream os(path);
-    if (!os)
-        throw SerializeError("cannot open for writing: " + path);
-    write(net, os);
-    if (!os)
-        throw SerializeError("write failed: " + path);
-}
-
-Mlp
-Serializer::load(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is)
-        throw SerializeError("cannot open for reading: " + path);
-    return read(is);
-}
-
-void
-Serializer::writeMoments(std::ostream &os, const char *tag,
-                         const numeric::Vector &mu,
-                         const numeric::Vector &sigma)
-{
-    os << tag << ' ' << mu.size();
-    os << std::setprecision(17);
-    for (double v : mu)
-        os << ' ' << v;
-    for (double v : sigma)
-        os << ' ' << v;
-    os << '\n';
-}
-
-void
-Serializer::readMoments(std::istream &is, const char *tag,
-                        numeric::Vector &mu, numeric::Vector &sigma)
-{
-    if (expectToken(is, tag) != tag)
-        throw SerializeError(std::string("expected ") + tag);
-    const std::size_t d = expectSize(is, tag);
-    mu.assign(d, 0.0);
-    sigma.assign(d, 0.0);
-    for (auto &v : mu)
-        v = expectDouble(is, "mean");
-    for (auto &v : sigma) {
-        v = expectDouble(is, "scale");
-        if (v <= 0.0)
-            throw SerializeError("non-positive scale in moments");
-    }
 }
 
 } // namespace nn

@@ -3,9 +3,9 @@
  * Text serialization of trained networks.
  *
  * The paper notes that "learned knowledge is kept in MLPs by memorizing
- * their weights and biases" — this module persists exactly that, so a
- * model trained once can be reloaded and queried (e.g. by the tuning
- * advisor) without retraining.
+ * their weights and biases" — this module persists exactly that, as the
+ * `wcnn-mlp` section inside a serve::ModelBundle artifact (which adds
+ * the standardizer moments and schema a correct prediction needs).
  */
 
 #ifndef WCNN_NN_SERIALIZE_HH
@@ -39,7 +39,8 @@ class SerializeError : public IoError
 
 /**
  * Reads and writes Mlp instances in a line-oriented text format with
- * full double precision.
+ * full double precision, on streams only: the one file format is the
+ * bundle, which embeds this section.
  */
 class Serializer
 {
@@ -59,51 +60,6 @@ class Serializer
      * @throws SerializeError on malformed input.
      */
     static Mlp read(std::istream &is);
-
-    /**
-     * Write a network to a file.
-     *
-     * @param net  Network to persist.
-     * @param path Destination path.
-     * @throws SerializeError if the file cannot be opened.
-     */
-    static void save(const Mlp &net, const std::string &path);
-
-    /**
-     * Read a network from a file.
-     *
-     * @param path Source path.
-     * @throws SerializeError if the file cannot be opened or parsed.
-     */
-    static Mlp load(const std::string &path);
-
-    /**
-     * Write standardizer moments as one line,
-     * "<tag> <d> mu_1..mu_d sigma_1..sigma_d", at full (%.17g)
-     * precision. Shared by the NnModel and ModelBundle artifact
-     * formats so the two can never drift apart.
-     *
-     * @param os    Destination stream.
-     * @param tag   Line tag, e.g. "x_moments".
-     * @param mu    Per-feature means.
-     * @param sigma Per-feature scales; must equal mu in size.
-     */
-    static void writeMoments(std::ostream &os, const char *tag,
-                             const numeric::Vector &mu,
-                             const numeric::Vector &sigma);
-
-    /**
-     * Read a moments line written by writeMoments.
-     *
-     * @param is    Source stream.
-     * @param tag   Expected line tag.
-     * @param mu    Filled with the means.
-     * @param sigma Filled with the scales.
-     * @throws SerializeError on a missing tag, implausible count,
-     *         non-finite mean, or non-positive/non-finite scale.
-     */
-    static void readMoments(std::istream &is, const char *tag,
-                            numeric::Vector &mu, numeric::Vector &sigma);
 };
 
 } // namespace nn

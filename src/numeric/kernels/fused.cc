@@ -29,19 +29,6 @@ standardizeRows(const double *x, double *z, std::size_t rows,
 }
 
 void
-destandardizeRows(const double *z, double *y, std::size_t rows,
-                  std::size_t d, const double *mu, const double *sigma)
-{
-    for (std::size_t r = 0; r < rows; ++r) {
-        const double *zr = z + r * d;
-        double *yr = y + r * d;
-#pragma omp simd
-        for (std::size_t j = 0; j < d; ++j)
-            yr[j] = zr[j] * sigma[j] + mu[j];
-    }
-}
-
-void
 standardizeToLanes(const double *x, double *xt, std::size_t nb,
                    std::size_t stride, std::size_t d, const double *mu,
                    const double *sigma)

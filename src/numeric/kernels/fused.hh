@@ -3,8 +3,8 @@
  * Primitives of the fused standardize -> forward -> destandardize
  * serving path.
  *
- * ModelBundle::predictAll runs standardize -> forward ->
- * destandardize over a whole batch. Composed through the per-row
+ * ModelBundle::predictAll and NnModel::predictAll run standardize ->
+ * forward -> destandardize over a whole batch. Composed through the per-row
  * API, that allocates a handful of vectors per row (row copy,
  * transform result, per-layer pre-activations, inverse result). The
  * fused path runs the same arithmetic over arena scratch in row
@@ -51,14 +51,6 @@ namespace kernels {
 void standardizeRows(const double *x, double *z, std::size_t rows,
                      std::size_t d, const double *mu,
                      const double *sigma);
-
-/**
- * Row-wise inverse z-score: y[r][j] = z[r][j] * sigma[j] + mu[j].
- * In-place (y == z) is allowed.
- */
-void destandardizeRows(const double *z, double *y, std::size_t rows,
-                       std::size_t d, const double *mu,
-                       const double *sigma);
 
 /**
  * Transpose a row-major nb x d block into a lane-major d x stride

@@ -1,6 +1,8 @@
 #include "bundle.hh"
 
+#include <cmath>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 
 #include "core/contracts.hh"
@@ -20,7 +22,7 @@ constexpr int version = 1;
  * error, never drive a huge allocation. */
 constexpr std::size_t maxCount = 1u << 20;
 
-/** Synthesized column names for legacy artifacts without a schema. */
+/** Synthesized column names for bundles built without a schema. */
 std::vector<std::string>
 syntheticNames(const char *prefix, std::size_t n)
 {
@@ -57,17 +59,31 @@ writeNames(std::ostream &os, const char *tag,
     os << '\n';
 }
 
-std::vector<std::string>
-readNames(std::istream &is, const char *tag)
+/** The next token is @p tag. */
+void
+expectTag(std::istream &is, const char *tag)
 {
     std::string token;
     if (!(is >> token) || token != tag)
         throw nn::SerializeError(std::string("expected ") + tag);
+}
+
+/** A non-negative count no larger than maxCount, after @p tag. */
+std::size_t
+readCount(std::istream &is, const char *tag)
+{
     long long count = 0;
     if (!(is >> count) || count < 0 ||
         static_cast<unsigned long long>(count) > maxCount)
         throw nn::SerializeError(std::string("bad count after ") + tag);
-    std::vector<std::string> names(static_cast<std::size_t>(count));
+    return static_cast<std::size_t>(count);
+}
+
+std::vector<std::string>
+readNames(std::istream &is, const char *tag)
+{
+    expectTag(is, tag);
+    std::vector<std::string> names(readCount(is, tag));
     for (auto &name : names)
         if (!(is >> name))
             throw nn::SerializeError(std::string("truncated ") + tag +
@@ -75,16 +91,52 @@ readNames(std::istream &is, const char *tag)
     return names;
 }
 
-data::Standardizer
-readStandardizer(std::istream &is, const char *tag)
+/**
+ * Standardizer moments as one line,
+ * "<tag> <d> mu_1..mu_d sigma_1..sigma_d", at full (%.17g) precision.
+ */
+void
+writeMoments(std::ostream &os, const char *tag,
+             const data::Standardizer &moments)
 {
-    numeric::Vector mu, sigma;
-    nn::Serializer::readMoments(is, tag, mu, sigma);
+    os << tag << ' ' << moments.dim();
+    os << std::setprecision(17);
+    for (double v : moments.means())
+        os << ' ' << v;
+    for (double v : moments.stddevs())
+        os << ' ' << v;
+    os << '\n';
+}
+
+/** A finite number, part of the @p tag line. */
+double
+readFinite(std::istream &is, const char *tag)
+{
+    double v;
+    if (!(is >> v) || !std::isfinite(v))
+        throw nn::SerializeError(std::string("bad number in ") + tag);
+    return v;
+}
+
+data::Standardizer
+readMoments(std::istream &is, const char *tag)
+{
+    expectTag(is, tag);
+    const std::size_t d = readCount(is, tag);
+    numeric::Vector mu(d), sigma(d);
+    for (double &v : mu)
+        v = readFinite(is, tag);
+    for (double &v : sigma) {
+        v = readFinite(is, tag);
+        if (v <= 0.0)
+            throw nn::SerializeError(std::string("non-positive scale in ") +
+                                     tag);
+    }
     return data::Standardizer::fromMoments(std::move(mu),
                                            std::move(sigma));
 }
 
-/** Shared arity validation for every load path. */
+/** Arity validation of a loaded bundle. */
 void
 requireConsistent(const nn::Mlp &net, const data::Standardizer &x_std,
                   const data::Standardizer &y_std,
@@ -196,20 +248,22 @@ ModelBundle::save(std::ostream &os) const
     os << "tag " << versionTag << '\n';
     writeNames(os, "inputs", xNames);
     writeNames(os, "outputs", yNames);
-    nn::Serializer::writeMoments(os, "x_moments", xStd.means(),
-                                 xStd.stddevs());
-    nn::Serializer::writeMoments(os, "y_moments", yStd.means(),
-                                 yStd.stddevs());
+    writeMoments(os, "x_moments", xStd);
+    writeMoments(os, "y_moments", yStd);
     nn::Serializer::write(net, os);
 }
 
 void
 ModelBundle::save(const std::string &path) const
 {
+    // Serialize before opening (which truncates): a refused save
+    // leaves whatever file is already at path as it was.
+    std::ostringstream text;
+    save(text);
     std::ofstream os(path);
     if (!os)
         throw nn::SerializeError("cannot open for writing: " + path);
-    save(os);
+    os << std::move(text).str();
     if (!os)
         throw nn::SerializeError("write failed: " + path);
 }
@@ -223,62 +277,22 @@ ModelBundle::load(std::istream &is)
     std::string file_magic;
     if (!(is >> file_magic))
         throw nn::SerializeError("empty model artifact");
+    if (file_magic != magic)
+        throw nn::SerializeError("not a wcnn-bundle artifact (magic '" +
+                                 file_magic + "')");
+    long long file_version = 0;
+    if (!(is >> file_version) || file_version != version)
+        throw nn::SerializeError("unsupported bundle version");
 
     ModelBundle bundle;
-
-    if (file_magic == magic) {
-        long long file_version = 0;
-        if (!(is >> file_version) || file_version != version)
-            throw nn::SerializeError("unsupported bundle version");
-        std::string token;
-        if (!(is >> token) || token != "tag")
-            throw nn::SerializeError("expected tag");
-        if (!(is >> bundle.versionTag))
-            throw nn::SerializeError("truncated tag");
-        bundle.xNames = readNames(is, "inputs");
-        bundle.yNames = readNames(is, "outputs");
-        bundle.xStd = readStandardizer(is, "x_moments");
-        bundle.yStd = readStandardizer(is, "y_moments");
-        bundle.net = nn::Serializer::read(is);
-    } else if (file_magic == "wcnn-nn-model") {
-        // Legacy NnModel artifact: moments + weights, no schema.
-        long long file_version = 0;
-        if (!(is >> file_version) || file_version != 1)
-            throw nn::SerializeError("unsupported wcnn-nn-model version");
-        bundle.xStd = readStandardizer(is, "x_moments");
-        bundle.yStd = readStandardizer(is, "y_moments");
-        bundle.net = nn::Serializer::read(is);
-        bundle.xNames = syntheticNames("x", bundle.net.inputDim());
-        bundle.yNames = syntheticNames("y", bundle.net.outputDim());
-        bundle.versionTag = "legacy-nn-model";
-        bundle.note =
-            "deprecated wcnn-nn-model artifact (no schema names); "
-            "re-save as a wcnn-bundle with `wcnn fit`";
-    } else if (file_magic == "wcnn-mlp") {
-        // Bare-network artifact: the historical trap this type closes —
-        // no moments at all, so predictions silently skipped
-        // standardization unless the caller re-derived it by hand.
-        // Loading applies identity standardizers, which reproduces
-        // the old raw-weights behaviour, and warns loudly.
-        std::ostringstream rest;
-        rest << file_magic;
-        rest << is.rdbuf();
-        std::istringstream replay(rest.str());
-        bundle.net = nn::Serializer::read(replay);
-        bundle.xStd = data::Standardizer::identity(bundle.net.inputDim());
-        bundle.yStd =
-            data::Standardizer::identity(bundle.net.outputDim());
-        bundle.xNames = syntheticNames("x", bundle.net.inputDim());
-        bundle.yNames = syntheticNames("y", bundle.net.outputDim());
-        bundle.versionTag = "legacy-mlp";
-        bundle.note =
-            "deprecated bare wcnn-mlp artifact: no standardizer "
-            "moments are stored, predictions assume UNSTANDARDIZED "
-            "training; re-train and save a wcnn-bundle with `wcnn fit`";
-    } else {
-        throw nn::SerializeError("not a wcnn model artifact (magic '" +
-                                 file_magic + "')");
-    }
+    expectTag(is, "tag");
+    if (!(is >> bundle.versionTag))
+        throw nn::SerializeError("truncated tag");
+    bundle.xNames = readNames(is, "inputs");
+    bundle.yNames = readNames(is, "outputs");
+    bundle.xStd = readMoments(is, "x_moments");
+    bundle.yStd = readMoments(is, "y_moments");
+    bundle.net = nn::Serializer::read(is);
 
     requireConsistent(bundle.net, bundle.xStd, bundle.yStd,
                       bundle.xNames, bundle.yNames);

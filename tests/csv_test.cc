@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 
+#include "core/failpoint.hh"
 #include "data/csv.hh"
 
 using wcnn::data::CsvError;
@@ -116,6 +118,33 @@ TEST(CsvTest, FileSaveAndLoad)
     ASSERT_EQ(loaded.size(), original.size());
     for (std::size_t i = 0; i < original.size(); ++i)
         EXPECT_EQ(loaded[i].x, original[i].x);
+    std::remove(path.c_str());
+}
+
+TEST(CsvTest, RefusedSaveKeepsThePreviousFile)
+{
+    namespace fp = wcnn::core::failpoint;
+    if (!fp::compiledIn())
+        GTEST_SKIP() << "failpoints compiled out";
+    const std::string path =
+        ::testing::TempDir() + "/wcnn_csv_refused.csv";
+    wcnn::data::saveCsv(sampleDataset(), path);
+    const auto bytes = [&path] {
+        std::ifstream is(path, std::ios::binary);
+        std::ostringstream os;
+        os << is.rdbuf();
+        return os.str();
+    };
+    const std::string before = bytes();
+
+    Dataset other({"a"}, {"b"});
+    other.add({1.0}, {2.0});
+    fp::arm("csv.write", fp::Trigger{.mode = fp::Trigger::Mode::Always});
+    EXPECT_THROW(wcnn::data::saveCsv(other, path), CsvError);
+    fp::reset();
+
+    EXPECT_EQ(bytes(), before);
+    EXPECT_EQ(wcnn::data::loadCsv(path).size(), sampleDataset().size());
     std::remove(path.c_str());
 }
 

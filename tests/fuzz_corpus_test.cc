@@ -24,6 +24,7 @@
 #include "nn/serialize.hh"
 #include "scenario/error.hh"
 #include "scenario/resolve.hh"
+#include "serve/bundle.hh"
 #include "serve/error.hh"
 #include "serve/net/protocol.hh"
 
@@ -61,6 +62,17 @@ const char *const kModelCorpus[] = {
     "model_truncated_after_header.txt",
     "model_implausible_depth.txt", "model_implausible_width.txt",
     "model_negative_dim.txt",
+};
+
+/**
+ * Artifacts ModelBundle::load must refuse: the two retired formats (a
+ * bare network with no moments, and moments without a schema) and
+ * damaged bundles.
+ */
+const char *const kBundleCorpus[] = {
+    "bundle_legacy_mlp.txt",        "bundle_legacy_nn_model.txt",
+    "bundle_bad_version.txt",       "bundle_truncated_moments.txt",
+    "bundle_nonpositive_scale.txt", "bundle_name_count_mismatch.txt",
 };
 
 /**
@@ -171,6 +183,22 @@ TEST(FuzzCorpus, EveryMalformedModelRaisesATypedIoError)
         } catch (const wcnn::ContractViolation &e) {
             ADD_FAILURE() << name << ": contract abort instead of "
                           << "IoError: " << e.what();
+        }
+    }
+}
+
+TEST(FuzzCorpus, EveryMalformedBundleRaisesATypedSerializeError)
+{
+    for (const char *name : kBundleCorpus) {
+        std::stringstream ss(slurp(name));
+        try {
+            (void)wcnn::serve::ModelBundle::load(ss);
+            ADD_FAILURE() << name << ": loader accepted the artifact";
+        } catch (const wcnn::nn::SerializeError &e) {
+            EXPECT_FALSE(std::string(e.what()).empty()) << name;
+        } catch (const wcnn::ContractViolation &e) {
+            ADD_FAILURE() << name << ": contract abort instead of "
+                          << "SerializeError: " << e.what();
         }
     }
 }

@@ -9,18 +9,20 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "data/metrics.hh"
 #include "model/linear_model.hh"
 #include "model/nn_model.hh"
 #include "model/rbf_model.hh"
-#include "nn/serialize.hh"
 #include "numeric/rng.hh"
+#include "serve/bundle.hh"
 
 using wcnn::data::Dataset;
 using wcnn::model::NnModel;
 using wcnn::model::NnModelOptions;
 using wcnn::numeric::Rng;
+using wcnn::serve::ModelBundle;
 
 namespace {
 
@@ -176,43 +178,37 @@ TEST(NnModelTest, LooseThresholdStopsEarlierThanTight)
 
 TEST(NnModelTest, SaveLoadRoundTripsExactly)
 {
+    // A fitted model is saved as a bundle; the loaded bundle answers
+    // exactly like the model it was cut from.
     const Dataset ds = bumpyDataset(40, 11);
     NnModel original(quickOptions());
     original.fit(ds);
 
     std::stringstream ss;
-    original.save(ss);
-    const NnModel loaded = NnModel::load(ss);
+    ModelBundle::fromModel(original, ds.inputs(), ds.outputs()).save(ss);
+    const ModelBundle loaded = ModelBundle::load(ss);
     ASSERT_TRUE(loaded.fitted());
 
     Rng rng(12);
     for (int t = 0; t < 20; ++t) {
         const wcnn::numeric::Vector x{rng.uniform(1, 20),
                                       rng.uniform(400, 600)};
-        const auto a = original.predict(x);
-        const auto b = loaded.predict(x);
-        for (std::size_t j = 0; j < a.size(); ++j)
-            EXPECT_DOUBLE_EQ(a[j], b[j]);
+        EXPECT_EQ(loaded.predict(x), original.predict(x));
     }
 }
 
 TEST(NnModelTest, SaveLoadFile)
 {
-    const std::string path = ::testing::TempDir() + "/wcnn_model.txt";
+    const std::string path = ::testing::TempDir() + "/wcnn_model.bundle";
     const Dataset ds = bumpyDataset(30, 13);
     NnModel original(quickOptions());
     original.fit(ds);
-    original.save(path);
-    const NnModel loaded = NnModel::load(path);
-    EXPECT_DOUBLE_EQ(loaded.predict({10, 500})[0],
-                     original.predict({10, 500})[0]);
+    ModelBundle::fromModel(original, ds.inputs(), ds.outputs(), "fitted")
+        .save(path);
+    const ModelBundle loaded = ModelBundle::load(path);
     std::remove(path.c_str());
-}
-
-TEST(NnModelTest, LoadRejectsGarbage)
-{
-    std::stringstream ss("definitely-not-a-model 9");
-    EXPECT_THROW(NnModel::load(ss), wcnn::nn::SerializeError);
+    EXPECT_EQ(loaded.tag(), "fitted");
+    EXPECT_EQ(loaded.predict({10, 500}), original.predict({10, 500}));
 }
 
 TEST(RbfModelTest, FitsBumpAndExposesNetwork)

@@ -7,10 +7,14 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "nn/serialize.hh"
+#include "data/standardizer.hh"
 #include "numeric/rng.hh"
+#include "serve/bundle.hh"
 
+using wcnn::data::Standardizer;
 using wcnn::nn::Activation;
 using wcnn::nn::InitRule;
 using wcnn::nn::LayerSpec;
@@ -18,6 +22,7 @@ using wcnn::nn::Mlp;
 using wcnn::nn::SerializeError;
 using wcnn::nn::Serializer;
 using wcnn::numeric::Rng;
+using wcnn::serve::ModelBundle;
 
 namespace {
 
@@ -72,12 +77,21 @@ TEST(SerializeTest, RoundTripPreservesExactParameters)
 
 TEST(SerializeTest, FileSaveAndLoad)
 {
-    const std::string path = ::testing::TempDir() + "/wcnn_mlp.txt";
+    // A network reaches a file only inside a bundle.
+    const std::string path = ::testing::TempDir() + "/wcnn_mlp.bundle";
     const Mlp net = randomNet(4);
-    Serializer::save(net, path);
-    const Mlp loaded = Serializer::load(path);
-    EXPECT_EQ(loaded.describe(), net.describe());
+    ModelBundle::fromParts(net, Standardizer::identity(4),
+                           Standardizer::identity(5),
+                           {"i0", "i1", "i2", "i3"},
+                           {"o0", "o1", "o2", "o3", "o4"})
+        .save(path);
+    const ModelBundle loaded = ModelBundle::load(path);
     std::remove(path.c_str());
+    EXPECT_EQ(loaded.network().describe(), net.describe());
+    for (std::size_t l = 0; l < net.depth(); ++l) {
+        EXPECT_TRUE(loaded.network().weights(l) == net.weights(l));
+        EXPECT_EQ(loaded.network().biases(l), net.biases(l));
+    }
 }
 
 TEST(SerializeTest, RejectsBadMagic)
@@ -107,10 +121,4 @@ TEST(SerializeTest, RejectsUnknownActivation)
     std::stringstream ss(
         "wcnn-mlp 1\ninput_dim 1\ndepth 1\nlayer 1 blorp\n");
     EXPECT_THROW(Serializer::read(ss), SerializeError);
-}
-
-TEST(SerializeTest, MissingFileThrows)
-{
-    EXPECT_THROW(Serializer::load("/nonexistent/net.txt"),
-                 SerializeError);
 }

@@ -3,17 +3,20 @@
  * ModelBundle: the deployable artifact. Pins the prediction identity
  * (predict == yStd.inverse(net.forward(xStd.transform(x))) exactly),
  * the bit-exact save/load round trip of the `wcnn-bundle` format, the
- * legacy-format load paths (bare `wcnn-mlp` and `wcnn-nn-model`, both
- * with a deprecation loadNote), and typed failures on malformed
- * artifacts.
+ * refusal of the retired formats (bare `wcnn-mlp`, `wcnn-nn-model`),
+ * refused saves that leave the previous file intact, and typed
+ * failures on malformed artifacts.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/failpoint.hh"
 #include "data/dataset.hh"
 #include "data/standardizer.hh"
 #include "model/nn_model.hh"
@@ -35,6 +38,8 @@ using wcnn::nn::Serializer;
 using wcnn::numeric::Rng;
 using wcnn::numeric::Vector;
 using wcnn::serve::ModelBundle;
+
+namespace fp = wcnn::core::failpoint;
 
 namespace {
 
@@ -58,6 +63,79 @@ makeBundle(std::uint64_t seed = 1)
         {"a", "b", "c"}, {"u", "v"}, "test-tag");
 }
 
+/** A small fitted model over inputs (a, b) and output y. */
+NnModel
+fittedModel(std::uint64_t seed)
+{
+    Dataset ds({"a", "b"}, {"y"});
+    Rng rng(seed);
+    for (int i = 0; i < 24; ++i) {
+        const double a = rng.uniform(0, 4);
+        const double b = rng.uniform(0, 4);
+        ds.add({a, b}, {a + 0.5 * b});
+    }
+    NnModelOptions opts;
+    opts.hiddenUnits = {4};
+    opts.train.maxEpochs = 50;
+    opts.seed = 5;
+    NnModel mdl(opts);
+    mdl.fit(ds);
+    return mdl;
+}
+
+/** Disarms every failpoint on scope exit, however the scope ends. */
+struct DisarmOnExit
+{
+    ~DisarmOnExit() { fp::reset(); }
+};
+
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream os;
+    os << is.rdbuf();
+    return os.str();
+}
+
+/** load() refuses @p text with a SerializeError naming @p magic. */
+void
+expectRefusedNaming(const std::string &text, const std::string &magic)
+{
+    std::stringstream is(text);
+    try {
+        (void)ModelBundle::load(is);
+        ADD_FAILURE() << magic << " artifact loaded";
+    } catch (const SerializeError &e) {
+        EXPECT_NE(std::string(e.what()).find("'" + magic + "'"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+/**
+ * Save @p good to a file, let @p refuse throw SerializeError while
+ * saving over it, and check the file still holds @p good's bytes and
+ * loads.
+ */
+template <typename Refusal>
+void
+expectRefusedSaveKeepsFile(const std::string &name, Refusal refuse)
+{
+    const std::string path = ::testing::TempDir() + "/" + name;
+    const ModelBundle good = makeBundle(23);
+    good.save(path);
+    const std::string before = fileBytes(path);
+    ASSERT_FALSE(before.empty());
+
+    EXPECT_THROW(refuse(path), SerializeError);
+
+    EXPECT_EQ(fileBytes(path), before);
+    const Vector x{0.5, 1.5, -2.0};
+    EXPECT_EQ(ModelBundle::load(path).predict(x), good.predict(x));
+    std::remove(path.c_str());
+}
+
 } // namespace
 
 TEST(ServeBundleTest, ExposesSchemaAndTag)
@@ -71,7 +149,6 @@ TEST(ServeBundleTest, ExposesSchemaAndTag)
     EXPECT_EQ(bundle.outputNames(),
               (std::vector<std::string>{"u", "v"}));
     EXPECT_EQ(bundle.tag(), "test-tag");
-    EXPECT_TRUE(bundle.loadNote().empty());
 }
 
 TEST(ServeBundleTest, PredictComposesStandardizersAndNetwork)
@@ -113,7 +190,6 @@ TEST(ServeBundleTest, SaveLoadRoundTripsBitExact)
     EXPECT_EQ(loaded.inputNames(), bundle.inputNames());
     EXPECT_EQ(loaded.outputNames(), bundle.outputNames());
     EXPECT_EQ(loaded.tag(), bundle.tag());
-    EXPECT_TRUE(loaded.loadNote().empty());
 
     const Vector x{2.25, -0.5, 1.0};
     const Vector a = bundle.predict(x);
@@ -127,24 +203,11 @@ TEST(ServeBundleTest, FromModelMatchesNnModelPredict)
 {
     // A real (tiny) training run: the bundle must answer exactly like
     // the NnModel it was cut from.
-    Dataset ds({"a", "b"}, {"y"});
-    Rng rng(11);
-    for (int i = 0; i < 24; ++i) {
-        const double a = rng.uniform(0, 4);
-        const double b = rng.uniform(0, 4);
-        ds.add({a, b}, {a + 0.5 * b});
-    }
-    NnModelOptions opts;
-    opts.hiddenUnits = {4};
-    opts.train.maxEpochs = 50;
-    opts.seed = 5;
-    NnModel mdl(opts);
-    mdl.fit(ds);
-
+    const NnModel mdl = fittedModel(11);
     const ModelBundle bundle =
-        ModelBundle::fromModel(mdl, ds.inputs(), ds.outputs(), "cut");
-    EXPECT_EQ(bundle.inputNames(), ds.inputs());
-    EXPECT_EQ(bundle.outputNames(), ds.outputs());
+        ModelBundle::fromModel(mdl, {"a", "b"}, {"y"}, "cut");
+    EXPECT_EQ(bundle.inputNames(), (std::vector<std::string>{"a", "b"}));
+    EXPECT_EQ(bundle.outputNames(), (std::vector<std::string>{"y"}));
 
     const Vector x{1.5, 2.5};
     const Vector want = mdl.predict(x);
@@ -154,52 +217,29 @@ TEST(ServeBundleTest, FromModelMatchesNnModelPredict)
         EXPECT_EQ(got[j], want[j]);
 }
 
-TEST(ServeBundleTest, LegacyNnModelArtifactLoadsWithDeprecationNote)
+TEST(ServeBundleTest, MissingFileThrowsTyped)
 {
-    Dataset ds({"a", "b"}, {"y"});
-    Rng rng(13);
-    for (int i = 0; i < 16; ++i) {
-        const double a = rng.uniform(0, 2);
-        const double b = rng.uniform(0, 2);
-        ds.add({a, b}, {2 * a - b});
-    }
-    NnModelOptions opts;
-    opts.hiddenUnits = {3};
-    opts.train.maxEpochs = 20;
-    NnModel mdl(opts);
-    mdl.fit(ds);
-
-    std::stringstream legacy;
-    mdl.save(legacy); // writes the wcnn-nn-model format, no schema
-    const ModelBundle bundle = ModelBundle::load(legacy);
-
-    EXPECT_FALSE(bundle.loadNote().empty());
-    ASSERT_EQ(bundle.inputDim(), 2u); // synthesized x0.. names
-    ASSERT_EQ(bundle.inputNames().size(), 2u);
-    ASSERT_EQ(bundle.outputNames().size(), 1u);
-
-    const Vector x{0.75, 1.25};
-    const Vector want = mdl.predict(x);
-    const Vector got = bundle.predict(x);
-    for (std::size_t j = 0; j < got.size(); ++j)
-        EXPECT_EQ(got[j], want[j]);
+    EXPECT_THROW((void)ModelBundle::load("/nonexistent/m.bundle"),
+                 SerializeError);
 }
 
-TEST(ServeBundleTest, LegacyBareMlpLoadsWithIdentityStandardizers)
+TEST(ServeBundleTest, LegacyNnModelArtifactIsRefused)
 {
-    const Mlp net = makeNet(17);
+    // The retired NnModel format: moments + weights, no schema.
     std::stringstream legacy;
-    Serializer::write(net, legacy); // bare wcnn-mlp, weights only
-    const ModelBundle bundle = ModelBundle::load(legacy);
+    legacy << "wcnn-nn-model 1\n"
+           << "x_moments 3 1 2 3 0.5 1.5 2\n"
+           << "y_moments 2 0.1 -0.2 2 3\n";
+    Serializer::write(makeNet(13), legacy);
+    expectRefusedNaming(legacy.str(), "wcnn-nn-model");
+}
 
-    EXPECT_FALSE(bundle.loadNote().empty());
-    // Identity standardizers: the bundle answers like the raw net.
-    const Vector x{0.1, -0.4, 2.0};
-    const Vector want = net.forward(x);
-    const Vector got = bundle.predict(x);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t j = 0; j < got.size(); ++j)
-        EXPECT_EQ(got[j], want[j]);
+TEST(ServeBundleTest, LegacyBareMlpIsRefused)
+{
+    // Weights only: loading it would predict on unstandardized scales.
+    std::stringstream legacy;
+    Serializer::write(makeNet(17), legacy);
+    expectRefusedNaming(legacy.str(), "wcnn-mlp");
 }
 
 TEST(ServeBundleTest, MalformedArtifactThrowsTyped)
@@ -228,4 +268,32 @@ TEST(ServeBundleTest, WhitespaceSchemaNamesRefuseToSave)
         "t");
     std::stringstream ss;
     EXPECT_THROW(bundle.save(ss), SerializeError);
+}
+
+TEST(ServeBundleTest, RefusedNameKeepsThePreviousFile)
+{
+    expectRefusedSaveKeepsFile(
+        "wcnn_refused_name.bundle", [](const std::string &path) {
+            ModelBundle::fromParts(makeNet(19), Standardizer::identity(3),
+                                   Standardizer::identity(2),
+                                   {"a", "b c", "d"}, {"u", "v"}, "t")
+                .save(path);
+        });
+}
+
+TEST(ServeBundleTest, InjectedSaveFaultKeepsThePreviousFile)
+{
+    if (!fp::compiledIn())
+        GTEST_SKIP() << "failpoints compiled out";
+    // serve.bundle.save refuses before any byte is produced;
+    // model.write refuses after the schema and moments were written.
+    for (const char *site : {"serve.bundle.save", "model.write"}) {
+        SCOPED_TRACE(site);
+        expectRefusedSaveKeepsFile(
+            "wcnn_refused_fault.bundle", [site](const std::string &path) {
+                const DisarmOnExit disarm;
+                fp::arm(site, fp::Trigger{.mode = fp::Trigger::Mode::Always});
+                makeBundle(29).save(path);
+            });
+    }
 }

@@ -15,11 +15,11 @@
  *   wcnn bench-serve --model m.bundle              serving benchmark
  *
  * fit writes a ModelBundle artifact (network + standardizers +
- * schema); predict/surface/recommend/serve all load through the same
- * bundle path, so legacy `wcnn-nn-model` / bare `wcnn-mlp` files keep
- * working with a deprecation warning on stderr.
+ * schema), the one model file format; predict/surface/recommend/serve
+ * all load it through ModelBundle::load.
  *
- * Every subcommand prints --help with its flags.
+ * Every subcommand prints --help with its flags and exits 2 on a flag
+ * it does not read.
  */
 
 #include <algorithm>
@@ -223,6 +223,7 @@ cmdSimulate(const Args &args)
         params = rs.params;
     }
     const sim::ThreeTierConfig cfg = configFromArgs(args, base);
+    args.rejectUnread("simulate");
     sim::RunDiagnostics diag;
     const sim::PerfSample sample =
         sim::simulateThreeTier(cfg, params, &diag);
@@ -264,6 +265,16 @@ cmdCollect(const Args &args)
         static_cast<std::size_t>(args.num("samples", 64));
     const auto seed = static_cast<std::uint64_t>(args.num("seed", 1));
     const std::string design = args.str("design", "lhs");
+    const bool analytic = args.has("analytic");
+    // Replication and retry knobs apply to the simulator only.
+    std::size_t replicates = 0;
+    sim::CollectOptions collect;
+    if (!analytic) {
+        replicates = static_cast<std::size_t>(args.num("replicates", 3));
+        collect.maxAttempts =
+            static_cast<std::size_t>(args.num("retries", 1));
+        collect.quarantine = args.has("quarantine");
+    }
 
     sim::SampleSpace space = sim::SampleSpace::paperLike();
     sim::WorkloadParams params = sim::WorkloadParams::defaults();
@@ -296,20 +307,15 @@ cmdCollect(const Args &args)
 
     if (rs)
         scenario::applyBase(*rs, configs);
+    args.rejectUnread("collect");
 
     data::Dataset ds;
-    if (args.has("analytic")) {
+    if (analytic) {
         ds = sim::collectAnalytic(configs, params);
     } else {
-        const auto replicates =
-            static_cast<std::size_t>(args.num("replicates", 3));
         std::printf("simulating %zu configurations x %zu "
                     "replicates...\n",
                     configs.size(), replicates);
-        sim::CollectOptions collect;
-        collect.maxAttempts =
-            static_cast<std::size_t>(args.num("retries", 1));
-        collect.quarantine = args.has("quarantine");
         sim::CollectReport report;
         ds = sim::collectSimulated(configs, params, seed, replicates,
                                    collect, &report);
@@ -366,6 +372,8 @@ cmdFit(const Args &args)
         study.nn.hiddenUnits = {
             static_cast<std::size_t>(args.num("units", 16))};
         study.nn.train.targetLoss = args.num("threshold", 0.02);
+        const std::string tag = args.str("tag", rs.name);
+        args.rejectUnread("fit");
         std::printf("fit: running study for scenario '%s' (%zu "
                     "samples x %zu replicates)\n",
                     rs.name.c_str(), study.designSamples,
@@ -376,21 +384,24 @@ cmdFit(const Args &args)
                     100.0 * result.cv.overallAccuracy());
         const serve::ModelBundle bundle = serve::ModelBundle::fromModel(
             result.finalModel, result.dataset.inputs(),
-            result.dataset.outputs(), args.str("tag", rs.name));
+            result.dataset.outputs(), tag);
         bundle.save(out);
         std::printf("trained %s on %zu samples -> %s\n",
                     result.finalModel.network().describe().c_str(),
                     result.dataset.size(), out.c_str());
         return 0;
     }
-    const data::Dataset ds = data::loadCsv(data_path);
     model::NnModelOptions opts;
     opts.hiddenUnits = {
         static_cast<std::size_t>(args.num("units", 16))};
     opts.train.targetLoss = args.num("threshold", 0.02);
     opts.seed = static_cast<std::uint64_t>(args.num("seed", 42));
+    const bool with_cv = args.has("cv");
+    const std::string tag = args.str("tag", "untagged");
+    args.rejectUnread("fit");
+    const data::Dataset ds = data::loadCsv(data_path);
 
-    if (args.has("cv")) {
+    if (with_cv) {
         model::CvOptions cv;
         cv.keepPredictions = false;
         const auto result = model::crossValidate(
@@ -406,23 +417,12 @@ cmdFit(const Args &args)
     // The artifact is a ModelBundle: weights + standardizer moments +
     // column schema, so every consumer standardizes identically.
     const serve::ModelBundle bundle = serve::ModelBundle::fromModel(
-        mdl, ds.inputs(), ds.outputs(), args.str("tag", "untagged"));
+        mdl, ds.inputs(), ds.outputs(), tag);
     bundle.save(out);
     std::printf("trained %s on %zu samples -> %s\n",
                 mdl.network().describe().c_str(), ds.size(),
                 out.c_str());
     return 0;
-}
-
-/** Load any model artifact, surfacing the deprecation note. */
-serve::ModelBundle
-loadBundle(const char *cmd, const std::string &path)
-{
-    serve::ModelBundle bundle = serve::ModelBundle::load(path);
-    if (!bundle.loadNote().empty())
-        std::fprintf(stderr, "%s: %s\n", cmd,
-                     bundle.loadNote().c_str());
-    return bundle;
 }
 
 int
@@ -439,15 +439,17 @@ cmdPredict(const Args &args)
     }
     const std::string model_path = args.str("model", "");
     const std::string config = args.str("config", "");
-    if (model_path.empty() || (config.empty() && !args.has("stdin"))) {
+    const bool from_stdin = args.has("stdin");
+    args.rejectUnread("predict");
+    if (model_path.empty() || (config.empty() && !from_stdin)) {
         std::fputs(
             "predict: --model and (--config | --stdin) are required\n",
             stderr);
         return 2;
     }
-    const serve::ModelBundle mdl = loadBundle("predict", model_path);
+    const serve::ModelBundle mdl = serve::ModelBundle::load(model_path);
 
-    if (args.has("stdin")) {
+    if (from_stdin) {
         // Streaming mode: the same load path the server uses, without
         // holding a process per prediction. Output precision is
         // round-trip so piping into a file loses nothing.
@@ -500,12 +502,6 @@ cmdSurface(const Args &args)
         return 0;
     }
     const std::string model_path = args.str("model", "");
-    if (model_path.empty()) {
-        std::fputs("surface: --model is required\n", stderr);
-        return 2;
-    }
-    const serve::ModelBundle mdl = loadBundle("surface", model_path);
-
     model::SurfaceRequest req;
     req.axisA = 1;
     req.axisB = 3;
@@ -519,6 +515,12 @@ cmdSurface(const Args &args)
     req.hiB = 20.0;
     req.pointsA = 11;
     req.pointsB = 7;
+    args.rejectUnread("surface");
+    if (model_path.empty()) {
+        std::fputs("surface: --model is required\n", stderr);
+        return 2;
+    }
+    const serve::ModelBundle mdl = serve::ModelBundle::load(model_path);
 
     data::Dataset schema(mdl.inputNames(), mdl.outputNames());
     const auto grid = model::sweepSurface(mdl, req, schema);
@@ -549,13 +551,6 @@ cmdRecommend(const Args &args)
     }
     const std::string model_path = args.str("model", "");
     const std::string data_path = args.str("data", "");
-    if (model_path.empty() || data_path.empty()) {
-        std::fputs("recommend: --model and --data are required\n",
-                   stderr);
-        return 2;
-    }
-    const serve::ModelBundle mdl = loadBundle("recommend", model_path);
-    const data::Dataset ds = data::loadCsv(data_path);
     const auto k = static_cast<std::size_t>(args.num("top", 5));
 
     // Default axes: the paper's exploration grid. With --scenario the
@@ -585,6 +580,14 @@ cmdRecommend(const Args &args)
                 model::SearchAxis{12, 24, 13},
                 model::SearchAxis{14, 20, 7}};
     }
+    args.rejectUnread("recommend");
+    if (model_path.empty() || data_path.empty()) {
+        std::fputs("recommend: --model and --data are required\n",
+                   stderr);
+        return 2;
+    }
+    const serve::ModelBundle mdl = serve::ModelBundle::load(model_path);
+    const data::Dataset ds = data::loadCsv(data_path);
     model::Recommender rec(mdl, axes);
     const auto top =
         rec.recommend(model::ScoringFunction::forWorkload(ds), k);
@@ -701,7 +704,7 @@ cmdServe(const Args &args)
         return 2;
     }
     auto bundle = std::make_shared<serve::ModelBundle>(
-        loadBundle("serve", model_path));
+        serve::ModelBundle::load(model_path));
 
     serve::InferenceServer server(std::move(serve_opts));
     server.deploy(bundle);
@@ -832,7 +835,7 @@ cmdBenchServe(const Args &args)
         return 2;
     }
     auto bundle = std::make_shared<serve::ModelBundle>(
-        loadBundle("bench-serve", model_path));
+        serve::ModelBundle::load(model_path));
 
     const auto run = [&](const char *label, std::size_t batch_rows,
                          bool coalesce, std::size_t cache_cap,
@@ -897,6 +900,7 @@ cmdScenario(const Args &args)
         return 0;
     }
     if (args.has("list")) {
+        args.rejectUnread("scenario");
         for (const std::string &name : scenario::libraryNames()) {
             const scenario::ResolvedScenario rs =
                 scenario::loadNamed(name);
@@ -908,6 +912,7 @@ cmdScenario(const Args &args)
     }
     if (args.has("show")) {
         const std::string arg = args.str("show", "");
+        args.rejectUnread("scenario");
         const bool is_path =
             arg.find('/') != std::string::npos ||
             (arg.size() > 5 &&
@@ -931,6 +936,7 @@ cmdScenario(const Args &args)
     }
     if (args.has("check")) {
         const std::string arg = args.str("check", "");
+        args.rejectUnread("scenario");
         try {
             const scenario::ResolvedScenario rs = loadScenarioArg(arg);
             std::printf("%s: ok (scenario \"%s\")\n", arg.c_str(),
@@ -987,6 +993,9 @@ cmdLifecycle(const std::string &sub, const Args &args)
     }
     const std::string journal_path = args.str("journal", "");
     const std::string model_path = args.str("model", "");
+    const std::string out_path = args.str("out", "");
+    const lifecycle::LifecycleOptions opts = lifecycleOptionsFromArgs(args);
+    args.rejectUnread("lifecycle replay");
     if (journal_path.empty() || model_path.empty()) {
         std::fputs("lifecycle replay: --journal and --model are "
                    "required\n",
@@ -996,9 +1005,9 @@ cmdLifecycle(const std::string &sub, const Args &args)
     const lifecycle::Journal journal =
         lifecycle::readJournal(journal_path);
     auto bundle = std::make_shared<serve::ModelBundle>(
-        loadBundle("lifecycle", model_path));
-    const lifecycle::ReplayResult result = lifecycle::replayJournal(
-        journal, bundle, lifecycleOptionsFromArgs(args));
+        serve::ModelBundle::load(model_path));
+    const lifecycle::ReplayResult result =
+        lifecycle::replayJournal(journal, bundle, opts);
 
     for (const lifecycle::Decision &d : result.decisions)
         std::printf("decision: %s",
@@ -1018,7 +1027,6 @@ cmdLifecycle(const std::string &sub, const Args &args)
                 static_cast<unsigned long long>(ls.promotions),
                 static_cast<unsigned long long>(ls.rejections));
 
-    const std::string out_path = args.str("out", "");
     if (!out_path.empty() && result.finalBundle != nullptr) {
         result.finalBundle->save(out_path);
         std::printf("wrote %s\n", out_path.c_str());
